@@ -1,6 +1,6 @@
-// Benchmarks regenerating every quantitative result of the paper. Each
-// benchmark corresponds to one entry of the per-experiment index in
-// DESIGN.md; cmd/xnfbench prints the same numbers as formatted tables.
+// Benchmarks regenerating every quantitative result of the paper, one
+// family per experiment; cmd/xnfbench prints the same numbers as formatted
+// tables.
 //
 //	BenchmarkTable1…           — Table 1 (derivation-cost comparison)
 //	BenchmarkFig3…             — Fig. 3 / [39]: subquery→join rewrite
@@ -238,7 +238,7 @@ func BenchmarkShipping(b *testing.B) {
 	}
 }
 
-// --- Ablations: the design choices DESIGN.md calls out ---
+// --- Ablations: one optimizer choice switched off at a time ---
 
 // BenchmarkAblationCSE isolates the common-subexpression sharing (spool)
 // win during CO extraction.

@@ -215,18 +215,20 @@ func (db *Database) compileMutation(table, alias string, where ast.Expr, set []a
 }
 
 // mutationTargets evaluates a compiled predicate over a table and returns
-// the matching RIDs and row images.
-func (db *Database) mutationTargets(table string, pred exec.Expr, args types.Row) ([]storage.RID, []types.Row, error) {
+// the matching RIDs and row images. The rows the scan reads count in
+// ctx's RowsScanned.
+func (db *Database) mutationTargets(ctx *exec.Ctx, table string, pred exec.Expr, args types.Row) ([]storage.RID, []types.Row, error) {
 	td, err := db.store.Table(table)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := exec.NewCtx(db.store)
 	env := exec.Env{Ctx: ctx, Params: args}
 	var rids []storage.RID
 	var rows []types.Row
 	var scanErr error
+	var scanned int64
 	td.Scan(func(rid storage.RID, row types.Row) bool {
+		scanned++
 		env.Row = row
 		ok, err := exec.EvalPred(pred, &env)
 		if err != nil {
@@ -239,6 +241,7 @@ func (db *Database) mutationTargets(table string, pred exec.Expr, args types.Row
 		}
 		return true
 	})
+	ctx.Counters.RowsScanned += scanned
 	if scanErr != nil {
 		return nil, nil, scanErr
 	}
@@ -250,13 +253,14 @@ func (db *Database) execUpdate(s *ast.UpdateStmt, args types.Row) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	return db.runUpdate(s, mut, args)
+	return db.runUpdate(exec.NewCtx(db.store), s, mut, args)
 }
 
-// runUpdate applies a compiled UPDATE. Predicate and assignments are
-// cloned per run so a cached mutation stays safe under concurrency.
-func (db *Database) runUpdate(s *ast.UpdateStmt, mut *compiledMutation, args types.Row) (int64, error) {
-	rids, rows, err := db.mutationTargets(s.Table, exec.CloneExpr(mut.pred), args)
+// runUpdate applies a compiled UPDATE, accounting its work in ctx.
+// Predicate and assignments are cloned per run so a cached mutation stays
+// safe under concurrency.
+func (db *Database) runUpdate(ctx *exec.Ctx, s *ast.UpdateStmt, mut *compiledMutation, args types.Row) (int64, error) {
+	rids, rows, err := db.mutationTargets(ctx, s.Table, exec.CloneExpr(mut.pred), args)
 	if err != nil {
 		return 0, err
 	}
@@ -264,7 +268,6 @@ func (db *Database) runUpdate(s *ast.UpdateStmt, mut *compiledMutation, args typ
 	for i, sc := range mut.sets {
 		sets[i] = compiledSet{ord: sc.ord, expr: exec.CloneExpr(sc.expr)}
 	}
-	ctx := exec.NewCtx(db.store)
 	env := exec.Env{Ctx: ctx, Params: args}
 	tx := db.store.Begin()
 	for i, rid := range rids {
@@ -295,12 +298,12 @@ func (db *Database) execDelete(s *ast.DeleteStmt, args types.Row) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	return db.runDelete(s, mut, args)
+	return db.runDelete(exec.NewCtx(db.store), s, mut, args)
 }
 
-// runDelete applies a compiled DELETE.
-func (db *Database) runDelete(s *ast.DeleteStmt, mut *compiledMutation, args types.Row) (int64, error) {
-	rids, _, err := db.mutationTargets(s.Table, exec.CloneExpr(mut.pred), args)
+// runDelete applies a compiled DELETE, accounting its work in ctx.
+func (db *Database) runDelete(ctx *exec.Ctx, s *ast.DeleteStmt, mut *compiledMutation, args types.Row) (int64, error) {
+	rids, _, err := db.mutationTargets(ctx, s.Table, exec.CloneExpr(mut.pred), args)
 	if err != nil {
 		return 0, err
 	}

@@ -240,12 +240,14 @@ CREATE TABLE D (id INT NOT NULL, k INT, PRIMARY KEY (id));
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 9000; i++ {
-		if _, err := ftd.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 3000))}); err != nil {
+	// The planner builds on the smaller input, D: give it two column-store
+	// segments so the build has more than one morsel to hand out.
+	for i := 0; i < 12000; i++ {
+		if _, err := ftd.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 6000))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 6000; i++ {
 		if _, err := dtd.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
@@ -265,9 +267,9 @@ CREATE TABLE D (id INT NOT NULL, k INT, PRIMARY KEY (id));
 	if res.Counters.PoolWorkers == 0 && res.Counters.PoolFallbacks == 0 {
 		t.Fatalf("large parallel join never requested pool workers: %+v", res.Counters)
 	}
-	// One side builds, the other probes; the planner picks which.
-	if got := res.Counters.JoinBuildRows + res.Counters.JoinProbeRows; got != 12000 {
-		t.Fatalf("join_build+join_probe=%d, want 12000 (counters: %+v)", got, res.Counters)
+	if res.Counters.JoinBuildRows != 6000 || res.Counters.JoinProbeRows != 12000 {
+		t.Fatalf("join_build=%d join_probe=%d, want 6000 and 12000 (counters: %+v)",
+			res.Counters.JoinBuildRows, res.Counters.JoinProbeRows, res.Counters)
 	}
 }
 
@@ -288,14 +290,15 @@ func TestJoinCountersRowBatchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The planner picked EMP (5 rows, one NULL edno → 4 keyed) as build and
-	// DEPT (3 rows) as probe; both executors must account identically.
+	// The planner builds on the smaller input, DEPT (3 rows), and probes
+	// with EMP (5 rows, one NULL edno → 4 keyed); both executors must
+	// account identically.
 	for _, res := range []*Result{rowRes, batchRes} {
-		if res.Counters.JoinBuildRows != 4 {
-			t.Fatalf("join_build=%d, want 4 (counters: %+v)", res.Counters.JoinBuildRows, res.Counters)
+		if res.Counters.JoinBuildRows != 3 {
+			t.Fatalf("join_build=%d, want 3 (counters: %+v)", res.Counters.JoinBuildRows, res.Counters)
 		}
-		if res.Counters.JoinProbeRows != 3 {
-			t.Fatalf("join_probe=%d, want 3 (counters: %+v)", res.Counters.JoinProbeRows, res.Counters)
+		if res.Counters.JoinProbeRows != 4 {
+			t.Fatalf("join_probe=%d, want 4 (counters: %+v)", res.Counters.JoinProbeRows, res.Counters)
 		}
 	}
 }

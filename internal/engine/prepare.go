@@ -157,6 +157,7 @@ func (s *Stmt) Exec(args ...types.Value) (int64, error) {
 	start := time.Now()
 	var n int64
 	verb := byte(0)
+	ctx := exec.NewCtx(s.db.store)
 	switch st := s.other.(type) {
 	case *ast.InsertStmt:
 		verb = 'I'
@@ -165,15 +166,15 @@ func (s *Stmt) Exec(args ...types.Value) (int64, error) {
 		// The mutation was compiled at Prepare; Revalidate guarantees it
 		// matches the current catalog version.
 		verb = 'U'
-		n, err = s.db.runUpdate(st, s.mut, types.Row(args))
+		n, err = s.db.runUpdate(ctx, st, s.mut, types.Row(args))
 	case *ast.DeleteStmt:
 		verb = 'D'
-		n, err = s.db.runDelete(st, s.mut, types.Row(args))
+		n, err = s.db.runDelete(ctx, st, s.mut, types.Row(args))
 	default:
 		// DDL never carries placeholders (Prepare rejects it); run as-is.
 		n, err = s.db.ExecStmt(s.other)
 	}
-	s.db.stats.observeStatement(verb, s.text, start, n, exec.Counters{}, err)
+	s.db.stats.observeStatement(verb, s.text, start, n, ctx.Counters, err)
 	return n, err
 }
 
@@ -248,9 +249,16 @@ func (db *Database) Prepare(sql string) (*Stmt, error) {
 		db.stats.stmtErrors.Inc()
 		return nil, err
 	}
-	if st := db.plans.get(norm, db.cat.Version(), db.OptOptions, db.RewriteOptions); st != nil {
-		db.Metrics.CacheHits.Add(1)
-		return st, nil
+	for {
+		if st := db.plans.get(norm, db.cat.Version(), db.OptOptions, db.RewriteOptions); st != nil {
+			db.Metrics.CacheHits.Add(1)
+			return st, nil
+		}
+		release, ok := db.plans.claim(norm)
+		if ok {
+			defer release()
+			break
+		}
 	}
 	db.Metrics.CacheMisses.Add(1)
 	st, err := db.prepareMiss(sql, norm)
@@ -404,6 +412,32 @@ type planCache struct {
 	lru       *list.List // of *Stmt, front = most recently used
 	byKey     map[string]*list.Element
 	evictions atomic.Int64 // entries evicted to make room
+	// compiling holds one channel per key being compiled; it is closed
+	// when that compile finishes.
+	compiling map[string]chan struct{}
+}
+
+// claim makes the caller the one compiler of key. If another caller is
+// already compiling key, claim waits for it to finish and returns false:
+// the caller then looks the key up again instead of compiling the same
+// text a second time. release must be called once the compiled statement
+// is in the cache (or the compile failed).
+func (pc *planCache) claim(key string) (release func(), ok bool) {
+	pc.mu.Lock()
+	if done, busy := pc.compiling[key]; busy {
+		pc.mu.Unlock()
+		<-done
+		return nil, false
+	}
+	done := make(chan struct{})
+	pc.compiling[key] = done
+	pc.mu.Unlock()
+	return func() {
+		pc.mu.Lock()
+		delete(pc.compiling, key)
+		pc.mu.Unlock()
+		close(done)
+	}, true
 }
 
 // metrics snapshots the cache size and cumulative eviction count.
@@ -415,7 +449,7 @@ func (pc *planCache) metrics() (size, evictions int64) {
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element)}
+	return &planCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element), compiling: make(map[string]chan struct{})}
 }
 
 func (pc *planCache) get(key string, version uint64, optOpts opt.Options, rwOpts rewrite.Options) *Stmt {

@@ -83,6 +83,31 @@ func TestStatementMetrics(t *testing.T) {
 	}
 }
 
+// TestMutationRowsScanned checks that the predicate scan of UPDATE and
+// DELETE counts in xnf_rows_scanned_total, like a SELECT's scan does.
+func TestMutationRowsScanned(t *testing.T) {
+	db := statsDB(t)
+	reg := db.Registry()
+	scanned := func() int64 {
+		v, _ := reg.Value("xnf_rows_scanned_total")
+		return v
+	}
+	before := scanned()
+	if _, err := db.Exec("UPDATE t SET v = 'y' WHERE id = ?", types.NewInt(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanned() - before; got != 5 {
+		t.Errorf("UPDATE scanned %d rows, want 5", got)
+	}
+	before = scanned()
+	if _, err := db.Exec("DELETE FROM t WHERE id = 5"); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanned() - before; got != 5 {
+		t.Errorf("DELETE scanned %d rows, want 5", got)
+	}
+}
+
 func TestSlowQueryLog(t *testing.T) {
 	db := statsDB(t)
 	db.SetSlowQueryThreshold(1) // 1ns: everything is slow

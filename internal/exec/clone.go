@@ -145,30 +145,7 @@ func (c *cloner) exprs(es []Expr) []Expr {
 
 // containsSubplan reports whether the expression tree holds a Subplan.
 func containsSubplan(e Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *Subplan:
-		return true
-	case *Bin:
-		return containsSubplan(n.L) || containsSubplan(n.R)
-	case *Un:
-		return containsSubplan(n.X)
-	case *ScalarFunc:
-		for _, a := range n.Args {
-			if containsSubplan(a) {
-				return true
-			}
-		}
-		return false
-	case *CaseExpr:
-		for _, w := range n.Whens {
-			if containsSubplan(w.Cond) || containsSubplan(w.Result) {
-				return true
-			}
-		}
-		return containsSubplan(n.Else)
-	default:
-		return false
-	}
+	found := false
+	WalkSubplans(e, func(*Subplan) { found = true })
+	return found
 }

@@ -157,14 +157,6 @@ type Column struct {
 
 func pad(n int) string { return strings.Repeat("  ", n) }
 
-func colNames(cols []Column) string {
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	return strings.Join(names, ", ")
-}
-
 // Collect drains a plan into a slice (convenience for callers and tests).
 func Collect(ctx *Ctx, p Plan) ([]types.Row, error) {
 	return CollectWith(ctx, p, nil)
@@ -439,7 +431,8 @@ func (f *FilterPlan) Columns() []Column { return f.Child.Columns() }
 
 // Explain implements Plan.
 func (f *FilterPlan) Explain(indent int) string {
-	return fmt.Sprintf("%sFilter %s\n%s", pad(indent), f.Pred.String(), f.Child.Explain(indent+1))
+	return fmt.Sprintf("%sFilter %s\n%s%s", pad(indent), f.Pred.String(), f.Child.Explain(indent+1),
+		ExplainSubplans(f.Pred, indent+1))
 }
 
 // --- Project ---
@@ -486,10 +479,12 @@ func (p *ProjectPlan) Columns() []Column { return p.Cols }
 // Explain implements Plan.
 func (p *ProjectPlan) Explain(indent int) string {
 	exprs := make([]string, len(p.Exprs))
+	var subs strings.Builder
 	for i, e := range p.Exprs {
 		exprs[i] = e.String()
+		subs.WriteString(ExplainSubplans(e, indent+1))
 	}
-	return fmt.Sprintf("%sProject %s\n%s", pad(indent), strings.Join(exprs, ", "), p.Child.Explain(indent+1))
+	return fmt.Sprintf("%sProject %s\n%s%s", pad(indent), strings.Join(exprs, ", "), p.Child.Explain(indent+1), subs.String())
 }
 
 // --- Distinct ---

@@ -43,8 +43,10 @@ type Subplan struct {
 }
 
 // subplanTable is the materialized+hashed form of an uncorrelated subplan.
+// EXISTS and NOT EXISTS only ask whether a key is present, so their
+// entries are the key alone; scalar subplans keep key ++ row.
 type subplanTable struct {
-	buckets map[uint64][]types.Row // key ++ row
+	buckets map[uint64][]types.Row
 	nkeys   int
 	hasNull bool
 	total   int
@@ -257,7 +259,15 @@ func (s *Subplan) table(env *Env) (*subplanTable, error) {
 				tbl.hasNull = true
 				continue
 			}
-			tbl.buckets[hashKey(key)] = append(tbl.buckets[hashKey(key)], append(key, row...))
+			entry := key
+			switch {
+			case s.Mode == ModeScalar:
+				entry = append(key, row...)
+			case len(key) == 0:
+				continue // a bare EXISTS only needs the row count
+			}
+			h := hashKey(key)
+			tbl.buckets[h] = append(tbl.buckets[h], entry)
 		}
 		add(&env.Ctx.Counters.HashBuilds, 1)
 		entry.tbl = tbl
@@ -317,30 +327,32 @@ func (s *Subplan) String() string {
 // tree (used by EXPLAIN output).
 func ExplainSubplans(e Expr, indent int) string {
 	var b strings.Builder
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case *Subplan:
-			fmt.Fprintf(&b, "%ssubplan #%d:\n%s", pad(indent), n.ID, n.Plan.Explain(indent+1))
-		case *Bin:
-			walk(n.L)
-			walk(n.R)
-		case *Un:
-			walk(n.X)
-		case *ScalarFunc:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *CaseExpr:
-			for _, w := range n.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		}
-	}
-	walk(e)
+	WalkSubplans(e, func(sp *Subplan) {
+		fmt.Fprintf(&b, "%ssubplan #%d:\n%s", pad(indent), sp.ID, sp.Plan.Explain(indent+1))
+	})
 	return b.String()
+}
+
+// WalkSubplans calls fn for every Subplan of an expression tree, outermost
+// first; it does not descend into the subplans' own plans.
+func WalkSubplans(e Expr, fn func(*Subplan)) {
+	switch n := e.(type) {
+	case *Subplan:
+		fn(n)
+	case *Bin:
+		WalkSubplans(n.L, fn)
+		WalkSubplans(n.R, fn)
+	case *Un:
+		WalkSubplans(n.X, fn)
+	case *ScalarFunc:
+		for _, a := range n.Args {
+			WalkSubplans(a, fn)
+		}
+	case *CaseExpr:
+		for _, w := range n.Whens {
+			WalkSubplans(w.Cond, fn)
+			WalkSubplans(w.Result, fn)
+		}
+		WalkSubplans(n.Else, fn)
+	}
 }

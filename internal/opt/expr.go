@@ -214,7 +214,7 @@ func (c *Compiler) compileSubquery(sr *qgm.SubqueryRef, env *colEnv) (exec.Expr,
 		pc := newParamCollector(c, env)
 		var plan exec.Plan
 		var err error
-		if sub.Kind == qgm.Select {
+		if len(exts) > 0 {
 			extraOut := make([]qgm.Expr, len(exts))
 			for i := range exts {
 				exts[i].appendedOrd = len(sub.Head) + i
@@ -222,7 +222,10 @@ func (c *Compiler) compileSubquery(sr *qgm.SubqueryRef, env *colEnv) (exec.Expr,
 			}
 			plan, err = c.compileSelectCustom(sub, remainder, extraOut, pc)
 		} else {
-			plan, err = c.compileBox(sub, pc)
+			// The body is the box itself: compiling it through CompileBox
+			// reads the box's spool when the box is shared and
+			// uncorrelated, instead of deriving it a second time.
+			plan, _, err = c.CompileBox(sub, pc)
 		}
 		if err != nil {
 			return nil, err

@@ -116,8 +116,10 @@ func (c *Compiler) compileAll(preds []qgm.Expr, env *colEnv) ([]exec.Expr, error
 
 // joinStep joins the next quantifier onto the current plan, choosing index
 // nested-loop, hash join or plain nested-loop. env gains q's binding at
-// slot base `width`.
-func (c *Compiler) joinStep(left exec.Plan, q *qgm.Quantifier, qPreds []qgm.Expr, env *colEnv, width int) (exec.Plan, error) {
+// slot base `width` — except when buildLeft makes a hash join build on the
+// bound prefix: q then probes and leads the joined row, so q binds at 0
+// and every bound quantifier shifts right by q's width.
+func (c *Compiler) joinStep(left exec.Plan, q *qgm.Quantifier, qPreds []qgm.Expr, env *colEnv, width int, buildLeft bool) (exec.Plan, error) {
 	// Classify predicates.
 	var rightLocal []qgm.Expr // reference only q (and correlation)
 	var equi []*qgm.BinOp     // left-side expr = right-side expr over q
@@ -266,16 +268,29 @@ func (c *Compiler) joinStep(left exec.Plan, q *qgm.Quantifier, qPreds []qgm.Expr
 			lkeys = append(lkeys, lk)
 			rkeys = append(rkeys, rk)
 		}
-		env.bind(q, width)
+		if buildLeft {
+			shift := len(q.Input.Head)
+			for r, base := range env.slots {
+				env.slots[r] = base + shift
+			}
+			env.bind(q, 0)
+		} else {
+			env.bind(q, width)
+		}
 		residual, err := c.compileAll(mixed, env)
 		if err != nil {
 			return nil, err
 		}
-		return &exec.HashJoinPlan{
+		join := &exec.HashJoinPlan{
 			Left: left, Right: right,
 			LeftKeys: lkeys, RightKeys: rkeys,
 			Residual: exec.AndExprs(residual),
-		}, nil
+		}
+		if buildLeft {
+			join.Left, join.Right = right, left
+			join.LeftKeys, join.RightKeys = rkeys, lkeys
+		}
+		return join, nil
 	}
 
 	env.bind(q, width)

@@ -32,9 +32,13 @@ func (c *Compiler) compileSelectCustom(box *qgm.Box, preds []qgm.Expr, extraOut 
 		}
 		bound := make(map[*qgm.Quantifier]bool, len(quants))
 		width := 0
+		// leftEst is the running cardinality estimate of the joined
+		// prefix; a hash join builds on whichever side it says is smaller.
+		var leftEst float64
 		for step, q := range order {
 			bound[q] = true
 			qPreds, qIdx := bindablePreds(preds, used, localAll, bound)
+			qEst, joinSel := c.stepEstimate(q, qPreds, localAll)
 			if step == 0 {
 				env.bind(q, 0)
 				p, err := c.accessPath(q, qPreds, env)
@@ -43,15 +47,18 @@ func (c *Compiler) compileSelectCustom(box *qgm.Box, preds []qgm.Expr, extraOut 
 				}
 				width = len(q.Input.Head)
 				plan = p
+				leftEst = qEst
 				markUsed(used, qIdx)
 				continue
 			}
-			p, err := c.joinStep(plan, q, qPreds, env, width)
+			buildLeft := c.opts.JoinOrdering && leftEst < qEst
+			p, err := c.joinStep(plan, q, qPreds, env, width, buildLeft)
 			if err != nil {
 				return nil, err
 			}
 			width += len(q.Input.Head)
 			plan = p
+			leftEst = max(leftEst*qEst*joinSel, 1)
 			markUsed(used, qIdx)
 		}
 	}
@@ -96,10 +103,60 @@ func (c *Compiler) compileSelectCustom(box *qgm.Box, preds []qgm.Expr, extraOut 
 		cols = append(cols, exec.Column{Name: fmt.Sprintf("x%d", i+1), Type: qgm.ExprType(ex)})
 	}
 	plan = &exec.ProjectPlan{Child: plan, Exprs: exprs, Cols: cols}
-	if box.Distinct {
+	if box.Distinct && !keyMakesDistinct(box) {
 		plan = &exec.DistinctPlan{Child: plan}
 	}
 	return plan, nil
+}
+
+// stepEstimate estimates the rows quantifier q contributes at its join
+// step: its input's cardinality reduced by the predicates that reference
+// no other quantifier of the box (outer correlation acts as a filter).
+// joinSel is the combined selectivity of the step's remaining predicates,
+// which join q to the already-bound prefix.
+func (c *Compiler) stepEstimate(q *qgm.Quantifier, qPreds []qgm.Expr, localAll map[*qgm.Quantifier]bool) (est, joinSel float64) {
+	est, joinSel = float64(c.estimateBox(q.Input)), 1
+	for _, p := range qPreds {
+		joins := false
+		for r := range qgm.QuantsIn(p) {
+			if r != q && localAll[r] {
+				joins = true
+			}
+		}
+		if joins {
+			joinSel *= c.selectivity(p)
+		} else {
+			est *= c.selectivity(p)
+		}
+	}
+	return max(est, 1), joinSel
+}
+
+// keyMakesDistinct reports whether a Select box's rows are distinct
+// without a DISTINCT operator: the box ranges over one base table and its
+// head carries every primary-key column as a plain column reference, so
+// no two rows can agree on the head (Starburst's key-based DISTINCT
+// elimination; the table's unique PK index enforces the key).
+func keyMakesDistinct(box *qgm.Box) bool {
+	if len(box.Quants) != 1 || box.Quants[0].Type != qgm.ForEach {
+		return false
+	}
+	q := box.Quants[0]
+	if q.Input.Kind != qgm.BaseTable || len(q.Input.PKOrds) == 0 {
+		return false
+	}
+	carried := make(map[int]bool, len(box.Head))
+	for _, h := range box.Head {
+		if cr, ok := h.Expr.(*qgm.ColRef); ok && cr.Q == q {
+			carried[cr.Ord] = true
+		}
+	}
+	for _, ord := range q.Input.PKOrds {
+		if !carried[ord] {
+			return false
+		}
+	}
+	return true
 }
 
 func markUsed(used map[int]bool, idx []int) {

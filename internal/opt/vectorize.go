@@ -10,10 +10,11 @@ import (
 // aggregate/limit chains whose expressions the vectorized interpreter
 // supports become one batch pipeline under a BatchToRow bridge; everything
 // else (spools, subplan-carrying expressions, nested-loop joins) stays on
-// the row path, with the pass recursing into children so lowered fragments
-// appear wherever they help. The right side of a nested-loop join is
-// deliberately left alone: it is re-Opened once per driving row, where
-// batching buys nothing and the bridge would only add overhead.
+// the row path, with the pass recursing into children — and into hashed
+// subplans' plans — so lowered fragments appear wherever they help. The
+// right side of a nested-loop join is deliberately left alone: it is
+// re-Opened once per driving row, where batching buys nothing and the
+// bridge would only add overhead.
 func vectorizePlan(p exec.Plan, opts Options) exec.Plan {
 	if bp, ok := lowerPlan(p, opts); ok {
 		return &vexec.BatchToRow{Child: bp}
@@ -21,8 +22,12 @@ func vectorizePlan(p exec.Plan, opts Options) exec.Plan {
 	switch n := p.(type) {
 	case *exec.FilterPlan:
 		n.Child = vectorizePlan(n.Child, opts)
+		vectorizeSubplans(n.Pred, opts)
 	case *exec.ProjectPlan:
 		n.Child = vectorizePlan(n.Child, opts)
+		for _, e := range n.Exprs {
+			vectorizeSubplans(e, opts)
+		}
 	case *exec.DistinctPlan:
 		n.Child = vectorizePlan(n.Child, opts)
 	case *exec.SortPlan:
@@ -44,6 +49,18 @@ func vectorizePlan(p exec.Plan, opts Options) exec.Plan {
 		n.Child = vectorizePlan(n.Child, opts)
 	}
 	return p
+}
+
+// vectorizeSubplans lowers the plans of the hashed subplans in e. A hashed
+// subplan drains its plan once per execution context, exactly like an
+// output, so it gets the same lowering; rerun subplans are re-Opened per
+// caller row and stay on the row path.
+func vectorizeSubplans(e exec.Expr, opts Options) {
+	exec.WalkSubplans(e, func(sp *exec.Subplan) {
+		if sp.Hashed {
+			sp.Plan = vectorizePlan(sp.Plan, opts)
+		}
+	})
 }
 
 // lowerOrBridge lowers a subtree natively when it can, and otherwise wraps

@@ -23,10 +23,6 @@ type hashIndex struct {
 	buckets map[uint64][]RID
 }
 
-func newHashIndex(ords []int) *hashIndex {
-	return &hashIndex{ords: ords, buckets: make(map[uint64][]RID)}
-}
-
 // newHashIndexCap presizes the bucket map for a bulk rebuild over a table
 // of known row count (checkpoint restore, storage conversion), skipping the
 // incremental map growth an empty-start build pays.

@@ -370,3 +370,39 @@ func TestScanIndexConsistencyRandomOps(t *testing.T) {
 		t.Fatalf("RowCount %d != %d", td.RowCount(), len(alive))
 	}
 }
+
+// TestCreateTablePublication checks CreateTable's publication order: the
+// heap is registered before the catalog entry, so a table the catalog
+// lists always has data, and a definition the catalog rejects leaves no
+// heap behind.
+func TestCreateTablePublication(t *testing.T) {
+	s := testStore(t)
+	for _, tbl := range s.Catalog().Tables() {
+		if _, err := s.Table(tbl.Name); err != nil {
+			t.Fatalf("catalog lists %s but storage does not: %v", tbl.Name, err)
+		}
+	}
+	if err := s.CreateTable(&catalog.Table{
+		Name:    "emp",
+		Columns: []catalog.Column{{Name: "X", Type: types.IntType}},
+	}); err == nil {
+		t.Fatal("duplicate CREATE TABLE succeeded")
+	}
+	if td, err := s.Table("EMP"); err != nil || len(td.Snapshot()) != 0 || len(td.def.Columns) != 4 {
+		t.Fatalf("duplicate CREATE TABLE replaced the existing heap: %v", err)
+	}
+	bad := &catalog.Table{
+		Name:       "T",
+		Columns:    []catalog.Column{{Name: "A", Type: types.IntType}},
+		PrimaryKey: []string{"MISSING"},
+	}
+	if err := s.CreateTable(bad); err == nil {
+		t.Fatal("CREATE TABLE with an unknown key column succeeded")
+	}
+	if _, err := s.Table("T"); err == nil {
+		t.Fatal("a rejected CREATE TABLE left its heap registered")
+	}
+	if err := s.CreateTable(&catalog.Table{Name: "T", Columns: []catalog.Column{{Name: "A", Type: types.IntType}}}); err != nil {
+		t.Fatalf("CREATE TABLE after a rejected one: %v", err)
+	}
+}

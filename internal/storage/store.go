@@ -55,13 +55,11 @@ func (s *Store) ddlGate() func() {
 	return s.txGate.Unlock
 }
 
-// CreateTable registers the definition in the catalog and allocates the heap.
+// CreateTable allocates the heap and registers the definition in the
+// catalog. The heap is published first: a reader that finds the table in
+// the catalog (AnalyzeAll, a compiled query) must also find its data.
 func (s *Store) CreateTable(def *catalog.Table) error {
 	defer s.ddlGate()()
-	if err := s.cat.CreateTable(def); err != nil {
-		return err
-	}
-	s.mu.Lock()
 	td := newTableData(def)
 	// A primary key implies a unique hash index for constraint checking
 	// and optimizer use.
@@ -76,8 +74,20 @@ func (s *Store) CreateTable(def *catalog.Table) error {
 		def.Indexes = append(def.Indexes, idx)
 		td.buildIndex(idx)
 	}
-	s.tables[key(def.Name)] = td
+	k := key(def.Name)
+	s.mu.Lock()
+	if _, exists := s.tables[k]; exists {
+		s.mu.Unlock()
+		return fmt.Errorf("storage: table %s already exists", def.Name)
+	}
+	s.tables[k] = td
 	s.mu.Unlock()
+	if err := s.cat.CreateTable(def); err != nil {
+		s.mu.Lock()
+		delete(s.tables, k)
+		s.mu.Unlock()
+		return err
+	}
 	return s.logDDL(&wal.Record{Op: wal.OpCreateTable, TableDef: defToWAL(def)})
 }
 

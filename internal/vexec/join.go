@@ -521,8 +521,8 @@ func (j *BatchHashJoin) Explain(indent int) string {
 		res = " residual=" + j.Residual.String()
 	}
 	par := ""
-	if j.Parallel {
-		par = " parallel-build"
+	if _, scan := j.Right.(*ScanBatch); scan && j.Parallel {
+		par = " parallel-build" // only a table-scan build side splits into morsels
 	}
 	return fmt.Sprintf("%sBatchHashJoin (%s)=(%s)%s%s\n%s%s", pad(indent),
 		strings.Join(lk, ", "), strings.Join(rk, ", "), res, par,

@@ -189,3 +189,31 @@ func TestRetryHelper(t *testing.T) {
 		t.Fatalf("exhausted attempts: err=%v calls=%d, want the error after 3 calls", err, calls)
 	}
 }
+
+// TestCloseBeforeServe checks that Close on a server whose Serve has not
+// started yet is not lost: the later Serve closes its listener and returns
+// net.ErrClosed instead of accepting forever.
+func TestCloseBeforeServe(t *testing.T) {
+	srv := NewServer(engine.Open())
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve after Close returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		l.Close()
+		t.Fatal("Serve after Close is still accepting")
+	}
+	if _, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
+		t.Fatal("listener still accepts connections after Serve returned")
+	}
+}

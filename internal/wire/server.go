@@ -106,6 +106,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	listener net.Listener
+	closed   bool
 
 	// st holds the server's metric handles, registered lazily in the
 	// database's registry (get-or-create: two servers over one database
@@ -136,9 +137,15 @@ func NewServer(db *engine.Database) *Server {
 	return s
 }
 
-// Serve accepts connections until the listener closes.
+// Serve accepts connections until the listener closes. On a server
+// already closed it closes l and returns net.ErrClosed.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		l.Close()
+		return net.ErrClosed
+	}
 	s.listener = l
 	s.mu.Unlock()
 	for {
@@ -150,10 +157,12 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close stops the listener.
+// Close stops the listener and marks the server closed, so a Serve that
+// has not started yet returns at once instead of accepting.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	if s.listener != nil {
 		return s.listener.Close()
 	}
