@@ -178,20 +178,6 @@ func (t *Table) Scan(fn func(slot int, row types.Row) bool) {
 	}
 }
 
-// Views snapshots every segment for a boxed batch scan, skipping segments
-// with no live rows. The returned views are immutable; concurrent DML after
-// the call is not visible through them.
-func (t *Table) Views() []View {
-	out := make([]View, 0, len(t.segs))
-	for _, seg := range t.segs {
-		if seg.n == 0 || seg.dead == seg.n {
-			continue
-		}
-		out = append(out, seg.snapshot())
-	}
-	return out
-}
-
 // TypedViews snapshots the segments for an unboxed batch scan, skipping
 // segments with no live rows and — when bounds are given — segments whose
 // zone maps prove no row can satisfy the scan predicate. pruned counts the

@@ -69,8 +69,9 @@ func (c *TypedCol) Value(i int) types.Value {
 // TypedView is the unboxed scan-facing snapshot of one segment: typed
 // column vectors the batch executor reads without materializing a single
 // types.Value, plus the selection of live slots (nil when every slot is
-// live). Like View it is immutable; mutations to the segment after the view
-// was built are not visible through it.
+// live). It is immutable; mutations to the segment after the view was
+// built are not visible through it (snapshot semantics, exactly like the
+// row heap's Snapshot of row pointers).
 type TypedView struct {
 	Cols []TypedCol
 	Sel  []int // live slot offsets; nil = all N slots live

@@ -128,6 +128,12 @@ func TestTypedViewSnapshotSemantics(t *testing.T) {
 	if &again[0].Cols[0].Ints[0] != &views[0].Cols[0].Ints[0] {
 		t.Fatal("full unchanged segment rebuilt its typed view")
 	}
+	// A delete invalidates the cache and drops the slot from the selection.
+	tb.Delete(20)
+	views, _ = tb.TypedViews(nil)
+	if views[0].Rows() != SegRows-1 || again[0].Rows() != SegRows {
+		t.Fatalf("view rows = %d after delete (old view %d)", views[0].Rows(), again[0].Rows())
+	}
 }
 
 func TestHollowSegmentLifecycle(t *testing.T) {

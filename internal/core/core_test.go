@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -449,23 +450,40 @@ func TestXNFViewErrors(t *testing.T) {
 	}
 }
 
-// Executing through the heterogeneous stream yields every shipped tuple
-// tagged with its component.
+// Streaming through engine.StreamCOView yields every tuple of the
+// heterogeneous stream of Sect. 3 tagged with its component, in exactly the
+// per-component counts the materializing extraction produces.
 func TestStream(t *testing.T) {
 	db := fig1DB(t)
-	c := compileDepsARC(t, db)
-	byComp := make(map[int]int)
-	res, err := c.Stream(db.Store(), opt.DefaultOptions(), func(compID int, row types.Row) error {
-		byComp[compID]++
-		return nil
-	})
+	stream, err := db.StreamCOView(context.Background(), "deps_ARC")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stream.Close()
+	byComp := make(map[int]int)
+	for {
+		compID, row, err := stream.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			break
+		}
+		byComp[compID]++
+	}
+	res, err := db.ExtractCOView("deps_ARC", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
 	for i, rows := range res.Rows {
+		total += len(rows)
 		if byComp[res.Outputs[i].CompID] != len(rows) {
 			t.Errorf("component %s streamed %d rows, materialized %d",
 				res.Outputs[i].Name, byComp[res.Outputs[i].CompID], len(rows))
 		}
+	}
+	if total == 0 {
+		t.Fatal("deps_ARC extracted no tuples")
 	}
 }

@@ -139,21 +139,3 @@ func (c *Compiled) ExecuteParallel(store *storage.Store, opts opt.Options) (*COR
 	}
 	return c.executePlans(store, plans, true)
 }
-
-// Stream delivers the CO as the heterogeneous tuple stream of Sect. 3:
-// every tuple tagged with its component number. The wire layer sits on
-// top of this.
-func (c *Compiled) Stream(store *storage.Store, opts opt.Options, fn func(compID int, row types.Row) error) (*COResult, error) {
-	res, err := c.Execute(store, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, rows := range res.Rows {
-		for _, r := range rows {
-			if err := fn(res.Outputs[i].CompID, r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return res, nil
-}

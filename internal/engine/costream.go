@@ -6,7 +6,6 @@ import (
 
 	"xnf/internal/core"
 	"xnf/internal/exec"
-	"xnf/internal/opt"
 	"xnf/internal/types"
 )
 
@@ -44,14 +43,6 @@ type COStream struct {
 // (WithMem), or the process accountant; ctx cancellation aborts the stream
 // at the next batch boundary. Recursive views return ErrCORecursive.
 func (db *Database) StreamCOView(ctx context.Context, name string) (*COStream, error) {
-	return db.StreamCOViewOpts(ctx, name, db.OptOptions)
-}
-
-// StreamCOViewOpts is StreamCOView under explicit optimizer options. With
-// the database's own options the cached plan templates serve the call;
-// overridden options (a bench harness flipping baselines) compile fresh
-// templates per call instead of poisoning the shared cache.
-func (db *Database) StreamCOViewOpts(ctx context.Context, name string, opts opt.Options) (*COStream, error) {
 	compiled, err := db.CompileCOView(name)
 	if err != nil {
 		return nil, err
@@ -59,12 +50,7 @@ func (db *Database) StreamCOViewOpts(ctx context.Context, name string, opts opt.
 	if compiled.Recursive {
 		return nil, ErrCORecursive
 	}
-	var templates []exec.Plan
-	if opts == db.OptOptions {
-		templates, err = db.coPlanTemplates(name, compiled)
-	} else {
-		templates, err = compiled.PlanTemplates(db.store, opts)
-	}
+	templates, err := db.coPlanTemplates(name, compiled)
 	if err != nil {
 		return nil, err
 	}

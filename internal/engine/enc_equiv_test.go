@@ -22,6 +22,7 @@ var encCorpus = []string{
 	"SELECT COUNT(*) FROM ET WHERE lc > 'val'",  // between dictionary entries
 	"SELECT COUNT(*) FROM ET WHERE lc < 'val0'", // below every entry
 	"SELECT COUNT(*) FROM ET WHERE lc >= 'zzz'", // above every entry
+	"SELECT COUNT(*) FROM ET WHERE lc <= 'val4'",
 	"SELECT lc, COUNT(*) FROM ET GROUP BY lc",
 	"SELECT COUNT(DISTINCT lc), MIN(lc), MAX(lc) FROM ET",
 	// High cardinality: stays raw, results must agree regardless.
@@ -99,8 +100,8 @@ func encDB(t testing.TB, n int) *Database {
 // TestEncodedKernelEquivalence is the encoded-vs-raw-vs-row gate: the same
 // corpus runs on (1) the row executor, (2) a column store whose segments
 // were kept raw (encoding disabled at Maintain), and (3) a column store
-// with encoded segments, both boxed and typed — every path must agree
-// exactly.
+// with encoded segments, each batched over typed segment views — every
+// path must agree exactly.
 func TestEncodedKernelEquivalence(t *testing.T) {
 	defer colstore.SetSegmentEncoding(colstore.SetSegmentEncoding(false))
 	rawDB := encDB(t, colstore.SegRows+1500)
@@ -122,14 +123,12 @@ func TestEncodedKernelEquivalence(t *testing.T) {
 		encDB.OptOptions.Vectorize = false
 		want := queryStrings(t, encDB, q)
 
+		rawDB.OptOptions.Vectorize = false
+		sortedEqual(t, queryStrings(t, rawDB, q), want)
 		rawDB.OptOptions.Vectorize = true
-		rawDB.OptOptions.TypedKernels = true
 		sortedEqual(t, queryStrings(t, rawDB, q), want)
 
 		encDB.OptOptions.Vectorize = true
-		encDB.OptOptions.TypedKernels = false
-		sortedEqual(t, queryStrings(t, encDB, q), want)
-		encDB.OptOptions.TypedKernels = true
 		sortedEqual(t, queryStrings(t, encDB, q), want)
 	}
 }
@@ -160,7 +159,6 @@ func TestEncodedDMLReencode(t *testing.T) {
 			db.OptOptions.Vectorize = false
 			want := queryStrings(t, db, q)
 			db.OptOptions.Vectorize = true
-			db.OptOptions.TypedKernels = true
 			got := queryStrings(t, db, q)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("after %s, %q: typed %v, row %v", step, q, got, want)

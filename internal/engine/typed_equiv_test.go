@@ -11,7 +11,7 @@ import (
 
 // typedCorpus extends the golden corpus with shapes the typed kernels
 // specialize: NULL-heavy columns, int64 overflow (wrapping must match the
-// boxed path bit for bit), mixed int/float comparisons and arithmetic,
+// row executor bit for bit), mixed int/float comparisons and arithmetic,
 // string and boolean columns, and null-bitmap-driven IS [NOT] NULL.
 var typedCorpus = []string{
 	"SELECT COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM TT",
@@ -75,10 +75,10 @@ func typedDB(t testing.TB, n int) *Database {
 	return db
 }
 
-// TestTypedKernelEquivalence is the typed-vs-boxed-vs-row gate: every query
-// runs (1) on the row executor, (2) batched with typed kernels disabled
-// (the boxed PR 3 path), and (3) batched with typed kernels — all three
-// must agree exactly, on both the base corpus tables and the typed table.
+// TestTypedKernelEquivalence is the typed-vs-row gate: every query runs
+// (1) on the row executor, the reference interpreter, and (2) batched over
+// typed segment views — both must agree exactly, on both the base corpus
+// tables and the typed table.
 func TestTypedKernelEquivalence(t *testing.T) {
 	check := func(t *testing.T, db *Database, queries []string) {
 		t.Helper()
@@ -88,11 +88,7 @@ func TestTypedKernelEquivalence(t *testing.T) {
 			db.OptOptions.Vectorize = false
 			want := queryStrings(t, db, q)
 			db.OptOptions.Vectorize = true
-			db.OptOptions.TypedKernels = false
-			boxed := queryStrings(t, db, q)
-			db.OptOptions.TypedKernels = true
 			typed := queryStrings(t, db, q)
-			sortedEqual(t, boxed, want)
 			sortedEqual(t, typed, want)
 		}
 	}
@@ -112,10 +108,10 @@ func TestTypedKernelEquivalence(t *testing.T) {
 	})
 }
 
-// TestTypedKernelErrorParity pins typed-vs-boxed error behavior: division
+// TestTypedKernelErrorParity pins typed-vs-row error behavior: division
 // by zero inside typed arithmetic must surface (or stay guarded) exactly
-// like the boxed and row paths, and comparing incompatible types must
-// error identically instead of being silently mis-pruned or mis-compared.
+// like the row path, and comparing incompatible types must error
+// identically instead of being silently mis-pruned or mis-compared.
 func TestTypedKernelErrorParity(t *testing.T) {
 	db := typedDB(t, 100)
 	prev := db.OptOptions
@@ -133,8 +129,7 @@ func TestTypedKernelErrorParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, typed := range []bool{false, true} {
-			db.OptOptions.Vectorize = true
-			db.OptOptions.TypedKernels = typed
+			db.OptOptions.Vectorize = typed
 			_, err := db.Query(c.q)
 			if c.wantErr && err == nil {
 				t.Errorf("typed=%v %q: expected an error", typed, c.q)
@@ -370,10 +365,11 @@ func TestDeletedSegmentSkipAndCompact(t *testing.T) {
 	sortedEqual(t, queryStrings(t, db, "SELECT COUNT(*) FROM P WHERE id >= 4096 AND id < 8192"), []string{"0"})
 }
 
-// TestVexecPoolRace hammers cached typed, boxed and parallel plans from
-// many goroutines against concurrent DML: the shared slice pools must never
+// TestVexecPoolRace hammers cached typed and parallel plans from many
+// goroutines against concurrent DML: the shared slice pools must never
 // leak one execution's data into another (reset-on-put), which the race
-// detector and the result sanity checks verify together.
+// detector and the result sanity checks verify together. Once the writer
+// stops, the typed plans must agree with the row executor.
 func TestVexecPoolRace(t *testing.T) {
 	db := typedDB(t, 6000)
 	db.OptOptions.ParallelMinRows = 1
@@ -443,5 +439,16 @@ func TestVexecPoolRace(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	// No float SUM here: the parallel fold may differ from the sequential
+	// row fold by an ulp.
+	for _, q := range []string{
+		"SELECT g, COUNT(*), SUM(v), MIN(f), MAX(f) FROM TT WHERE v >= 100 GROUP BY g",
+		"SELECT v * 2, s, v + f FROM TT WHERE v < 50",
+	} {
+		typed := queryStrings(t, db, q)
+		db.OptOptions.Vectorize = false
+		sortedEqual(t, typed, queryStrings(t, db, q))
+		db.OptOptions.Vectorize = true
 	}
 }

@@ -22,13 +22,11 @@ type Options struct {
 	HashedSubplans bool // evaluate uncorrelated subqueries as hash semijoins
 	Spool          bool // materialize shared QGM boxes once
 	JoinOrdering   bool // greedy cost-based join ordering (else syntax order)
-	Vectorize      bool // lower pipeline prefixes to the vexec batch engine
-	// TypedKernels runs lowered pipelines directly on typed column-store
-	// segment arrays ([]int64/[]float64/[]string with null bitmaps as
-	// masks), boxing values only at projection/row boundaries; off keeps
-	// the boxed vectors — the measurement baseline. Part of the plan-cache
-	// key (Options equality), like every field here.
-	TypedKernels bool
+	// Vectorize lowers pipeline prefixes to the vexec batch engine, which
+	// reads column-store tables as typed segment arrays and boxes values
+	// only at projection/row boundaries. Part of the plan-cache key
+	// (Options equality), like every field here.
+	Vectorize bool
 	// ZonePruning skips column-store segments whose per-segment min/max
 	// refutes a `col <op> constant` conjunct of the scan predicate.
 	ZonePruning  bool
@@ -43,7 +41,7 @@ type Options struct {
 
 // DefaultOptions enables everything.
 func DefaultOptions() Options {
-	return Options{HashJoin: true, IndexNL: true, HashedSubplans: true, Spool: true, JoinOrdering: true, Vectorize: true, TypedKernels: true, ZonePruning: true, ParallelScan: true}
+	return Options{HashJoin: true, IndexNL: true, HashedSubplans: true, Spool: true, JoinOrdering: true, Vectorize: true, ZonePruning: true, ParallelScan: true}
 }
 
 // NaiveOptions disables every optimization: syntax-order nested-loop joins

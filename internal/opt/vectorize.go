@@ -85,7 +85,7 @@ func lowerPlan(p exec.Plan, opts Options) (vexec.BatchPlan, bool) {
 		if !ok {
 			return nil, false
 		}
-		sb := &vexec.ScanBatch{Table: n.Table, Pred: pred, Cols: n.Cols, Boxed: !opts.TypedKernels}
+		sb := &vexec.ScanBatch{Table: n.Table, Pred: pred, Cols: n.Cols}
 		if opts.ZonePruning {
 			// Zone-map pruning: conjuncts of the form `col <op> constant`
 			// are extracted once at compile time and resolved against the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xnf/internal/catalog"
+	"xnf/internal/colstore"
 	"xnf/internal/types"
 )
 
@@ -404,5 +405,89 @@ func TestCreateTablePublication(t *testing.T) {
 	}
 	if err := s.CreateTable(&catalog.Table{Name: "T", Columns: []catalog.Column{{Name: "A", Type: types.IntType}}}); err != nil {
 		t.Fatalf("CREATE TABLE after a rejected one: %v", err)
+	}
+}
+
+// TestAnalyzeColumnRowParity pins ANALYZE's distinct counts across storage
+// representations: a column table — walked through its typed segment views,
+// raw and then dictionary/pack encoded — must report exactly the ColCard of
+// the same data stored row-major, NULLs and deleted slots included.
+func TestAnalyzeColumnRowParity(t *testing.T) {
+	load := func(kind catalog.StorageKind) (*Store, *TableData) {
+		s := NewStore(catalog.New())
+		err := s.CreateTable(&catalog.Table{
+			Name: "T",
+			Columns: []catalog.Column{
+				{Name: "ID", Type: types.IntType, NotNull: true},
+				{Name: "TAG", Type: types.StringType},
+				{Name: "GRP", Type: types.IntType},
+				{Name: "AMT", Type: types.FloatType},
+				{Name: "OK", Type: types.BoolType},
+			},
+			PrimaryKey: []string{"ID"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		td, _ := s.Table("T")
+		for i := 0; i < colstore.SegRows+500; i++ {
+			row := types.Row{
+				types.NewInt(int64(i)),
+				types.NewString(fmt.Sprintf("tag%d", i%37)),
+				types.NewInt(int64(i % 101)),
+				types.NewFloat(float64(i%53) / 4),
+				types.NewBool(i%2 == 0),
+			}
+			if i%5 == 0 {
+				row[1] = types.Null
+			}
+			if i%7 == 0 {
+				row[2], row[4] = types.Null, types.Null
+			}
+			if i%11 == 0 {
+				row[3] = types.Null
+			}
+			if _, err := td.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Deleted slots in both the full segment and the tail.
+		for i := 0; i < colstore.SegRows+500; i += 3 {
+			if _, err := td.Delete(RID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.SetTableStorage("T", kind); err != nil {
+			t.Fatal(err)
+		}
+		return s, td
+	}
+	cards := func(td *TableData) map[string]int64 {
+		out := make(map[string]int64)
+		for _, col := range td.Def().Columns {
+			out[col.Name] = td.Def().Cardinality(col.Name)
+		}
+		return out
+	}
+	rowS, rowTD := load(catalog.RowStore)
+	colS, colTD := load(catalog.ColumnStore)
+	if err := rowS.Analyze("T"); err != nil {
+		t.Fatal(err)
+	}
+	want := cards(rowTD)
+	// The first ANALYZE walks raw segments and then encodes the full one;
+	// the second walks the encoded segment.
+	for pass, stage := range []string{"raw", "encoded"} {
+		if err := colS.Analyze("T"); err != nil {
+			t.Fatal(err)
+		}
+		if got := cards(colTD); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s column ColCard %v, row %v", stage, got, want)
+		}
+		if pass == 0 {
+			if d, p := colTD.EncodedColumns(); d == 0 || p == 0 {
+				t.Fatalf("full segment not encoded after ANALYZE: dict=%d pack=%d", d, p)
+			}
+		}
 	}
 }

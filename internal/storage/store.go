@@ -193,14 +193,14 @@ func (s *Store) CreateIndex(idx *catalog.Index) error {
 }
 
 // Analyze recomputes the distinct-value statistics for a table's columns.
-// The stats walk runs over an immutable snapshot — segment views for
-// column tables, row pointers for row tables — so writers are blocked
-// only for the instant the snapshot is captured, never for the duration
-// of the walk. Analyze also drives the colstore auto-promotion heuristic:
-// a row-major table whose fresh live row count crosses the configured
-// threshold is switched to columnar storage in the same pass (the row
-// count that justifies columnar scans is exactly what ANALYZE just
-// measured).
+// The stats walk runs over an immutable snapshot — typed segment views
+// (boxing one value at a time) for column tables, row pointers for row
+// tables — so writers are blocked only for the instant the snapshot is
+// captured, never for the duration of the walk. Analyze also drives the
+// colstore auto-promotion heuristic: a row-major table whose fresh live row
+// count crosses the configured threshold is switched to columnar storage in
+// the same pass (the row count that justifies columnar scans is exactly
+// what ANALYZE just measured).
 func (s *Store) Analyze(name string) error {
 	td, err := s.Table(name)
 	if err != nil {
@@ -210,17 +210,17 @@ func (s *Store) Analyze(name string) error {
 	for i := range seen {
 		seen[i] = make(map[uint64]struct{})
 	}
-	if views, ok := td.ColumnViews(); ok {
+	if views, _, ok := td.TypedColumnViews(nil); ok {
 		for _, v := range views {
 			for c := range seen {
-				col := v.Cols[c]
+				col := &v.Cols[c]
 				if v.Sel != nil {
 					for _, i := range v.Sel {
-						seen[c][col[i].Hash()] = struct{}{}
+						seen[c][col.Value(i).Hash()] = struct{}{}
 					}
 				} else {
 					for i := 0; i < v.N; i++ {
-						seen[c][col[i].Hash()] = struct{}{}
+						seen[c][col.Value(i).Hash()] = struct{}{}
 					}
 				}
 			}

@@ -6,7 +6,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -216,35 +215,57 @@ func Compare(a, b Value) int {
 // here; the evaluator applies three-valued logic before calling this).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// HashOffset is the FNV-1a 64-bit offset basis every value and row hash
+// starts from; hashPrime is the matching FNV prime.
+const (
+	HashOffset uint64 = 14695981039346656037
+	hashPrime  uint64 = 1099511628211
+)
+
 // Hash returns a hash consistent with Equal: integers and floats holding the
-// same numeric value hash identically so cross-type equi-joins work.
+// same numeric value hash identically so cross-type equi-joins work. It is
+// FNV-1a over a tag byte (0 NULL, 1 number or boolean, 2 string) followed by
+// the payload — the eight little-endian bytes of the integer (or of a
+// non-integral float's bits), or the string's bytes — computed inline, so
+// it never allocates.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
+	h := HashOffset
 	switch v.T {
 	case NullType:
-		h.Write([]byte{0})
-	case IntType, BoolType:
-		writeUint64(h, uint64(v.I))
-	case FloatType:
-		f := v.F
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			// Hash integral floats like the equivalent integer.
-			writeUint64(h, uint64(int64(f)))
-		} else {
-			writeUint64(h, math.Float64bits(f))
-		}
+		h ^= 0
+		h *= hashPrime
 	case StringType:
-		h.Write([]byte{2})
-		h.Write([]byte(v.S))
+		h ^= 2
+		h *= hashPrime
+		for i := 0; i < len(v.S); i++ {
+			h ^= uint64(v.S[i])
+			h *= hashPrime
+		}
+	default:
+		u := uint64(v.I)
+		if v.T == FloatType {
+			f := v.F
+			if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+				// Hash integral floats like the equivalent integer.
+				u = uint64(int64(f))
+			} else {
+				u = math.Float64bits(f)
+			}
+		}
+		h ^= 1
+		h *= hashPrime
+		h = MixHash(h, u)
 	}
-	return h.Sum64()
+	return h
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var buf [9]byte
-	buf[0] = 1
-	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(u >> (8 * i))
+// MixHash folds the eight little-endian bytes of u into a running FNV-1a
+// state. Row hashes mix their column hashes this way.
+func MixHash(h, u uint64) uint64 {
+	for b := 0; b < 8; b++ {
+		h ^= u & 0xff
+		h *= hashPrime
+		u >>= 8
 	}
-	h.Write(buf[:])
+	return h
 }

@@ -1,6 +1,9 @@
 package types
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -429,3 +432,76 @@ func TestEqualRows(t *testing.T) {
 }
 
 var _ = reflect.DeepEqual // keep reflect imported for quick
+
+// fnvValueHash is the reference encoding of Value.Hash computed with
+// hash/fnv: a tag byte (0 NULL, 1 number or boolean, 2 string), then eight
+// little-endian bytes of the integer (integral floats as the equivalent
+// integer, other floats as their bits) or the string's bytes.
+func fnvValueHash(v Value) uint64 {
+	h := fnv.New64a()
+	num := func(u uint64) {
+		var buf [9]byte
+		buf[0] = 1
+		binary.LittleEndian.PutUint64(buf[1:], u)
+		h.Write(buf[:])
+	}
+	switch v.T {
+	case NullType:
+		h.Write([]byte{0})
+	case IntType, BoolType:
+		num(uint64(v.I))
+	case FloatType:
+		if f := v.F; f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			num(uint64(int64(f)))
+		} else {
+			num(math.Float64bits(f))
+		}
+	case StringType:
+		h.Write([]byte{2})
+		h.Write([]byte(v.S))
+	}
+	return h.Sum64()
+}
+
+// TestHashMatchesFNVReference pins Value.Hash and Row.Hash/HashAll bit for
+// bit to FNV-1a computed by hash/fnv, and checks that none of them
+// allocates.
+func TestHashMatchesFNVReference(t *testing.T) {
+	vals := []Value{
+		Null,
+		NewInt(0), NewInt(1), NewInt(-1), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(3), NewFloat(-2), NewFloat(2.5), NewFloat(-0.125),
+		NewFloat(1e300), NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewString(""), NewString("x"), NewString("héllo, wörld"),
+		NewBool(true), NewBool(false),
+	}
+	for _, v := range vals {
+		if got, want := v.Hash(), fnvValueHash(v); got != want {
+			t.Errorf("Hash(%v) = %x, hash/fnv reference %x", v, got, want)
+		}
+	}
+	row := Row{NewInt(7), NewString("abc"), Null, NewFloat(2.5)}
+	ref := fnv.New64a()
+	for _, v := range row {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], fnvValueHash(v))
+		ref.Write(buf[:])
+	}
+	if got, want := row.HashAll(), ref.Sum64(); got != want {
+		t.Errorf("HashAll = %x, hash/fnv reference %x", got, want)
+	}
+	if got, want := row.Hash([]int{0, 1, 2, 3}), row.HashAll(); got != want {
+		t.Errorf("Hash(all cols) = %x, HashAll %x", got, want)
+	}
+
+	cols := []int{0, 1}
+	for name, fn := range map[string]func(){
+		"int":    func() { vals[1].Hash() },
+		"string": func() { vals[17].Hash() },
+		"row":    func() { row.Hash(cols) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s hash allocates %.0f times per call, want 0", name, n)
+		}
+	}
+}

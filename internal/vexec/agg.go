@@ -9,48 +9,9 @@ import (
 	"xnf/internal/types"
 )
 
-// valHash hashes one value without the per-call allocation of
-// types.Value.Hash, producing the same byte sequence (integral floats hash
-// like the equivalent integer, so cross-type group keys that compare equal
-// land in the same bucket).
-func valHash(v types.Value) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	switch v.T {
-	case types.NullType:
-		h ^= 0
-		h *= prime
-	case types.StringType:
-		h ^= 2
-		h *= prime
-		for i := 0; i < len(v.S); i++ {
-			h ^= uint64(v.S[i])
-			h *= prime
-		}
-	default:
-		u := uint64(v.I)
-		if v.T == types.FloatType {
-			f := v.F
-			if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-				u = uint64(int64(f))
-			} else {
-				u = math.Float64bits(f)
-			}
-		}
-		h ^= 1
-		h *= prime
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime
-			u >>= 8
-		}
-	}
-	return h
-}
-
 // typedHashAt hashes element i of a typed vector without boxing it,
-// producing exactly valHash's byte sequence for the boxed equivalent —
-// typed and boxed group columns must land in the same buckets.
+// producing exactly types.Value.Hash's byte sequence for the boxed
+// equivalent — typed and boxed group columns must land in the same buckets.
 func typedHashAt(tv *TypedVec, i int) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -93,20 +54,6 @@ func typedHashAt(tv *TypedVec, i int) uint64 {
 	return h
 }
 
-// mixHash folds one value hash into a running FNV-1a state. groupHash and
-// rowHash must mix identically — merge-time probing relies on it.
-func mixHash(h, u uint64) uint64 {
-	const prime = 1099511628211
-	for b := 0; b < 8; b++ {
-		h ^= u & 0xff
-		h *= prime
-		u >>= 8
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
 // AggSpec describes one aggregate computed by a HashAggBatch; semantics
 // mirror exec.AggSpec exactly (NULL-skipping, DISTINCT, AVG as SUM/COUNT).
 type AggSpec struct {
@@ -114,16 +61,6 @@ type AggSpec struct {
 	Star     bool   // COUNT(*)
 	Distinct bool
 	Arg      VExpr // nil for COUNT(*)
-}
-
-// rowHash combines the hashes of a materialized group key (merge-time
-// probing of parallel partial aggregates); consistent with groupHash.
-func rowHash(key types.Row) uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range key {
-		h = mixHash(h, valHash(v))
-	}
-	return h
 }
 
 // aggGroup is one group's accumulator. morsel/seq record where the group
@@ -302,7 +239,7 @@ func (g *groupTable) fold(e *env, b *Batch) error {
 	if len(g.groupExprs) == 0 {
 		grp := g.global
 		if grp == nil {
-			grp = g.addGroup(types.Row{}, rowHash(nil))
+			grp = g.addGroup(types.Row{}, types.Row(nil).HashAll())
 			g.global = grp
 		}
 		for _, i := range sel {
@@ -318,13 +255,13 @@ func (g *groupTable) fold(e *env, b *Batch) error {
 			var grp *aggGroup
 			if tv.IsNull(i) {
 				if grp = g.nullGroup; grp == nil {
-					grp = g.addGroup(types.Row{types.Null}, rowHash(types.Row{types.Null}))
+					grp = g.addGroup(types.Row{types.Null}, types.Row{types.Null}.HashAll())
 				}
 			} else {
 				k := tv.IntAt(i)
 				if grp = g.intGroups[k]; grp == nil {
 					key := types.Row{types.NewInt(k)}
-					grp = g.addGroup(key, rowHash(key))
+					grp = g.addGroup(key, key.HashAll())
 				}
 			}
 			g.foldRow(grp, i)
@@ -332,12 +269,12 @@ func (g *groupTable) fold(e *env, b *Batch) error {
 		return nil
 	}
 	for _, i := range sel {
-		h := uint64(fnvOffset)
+		h := types.HashOffset
 		for gi := range g.groupExprs {
 			if tv := g.groupTyped[gi]; tv != nil {
-				h = mixHash(h, typedHashAt(tv, i))
+				h = types.MixHash(h, typedHashAt(tv, i))
 			} else {
-				h = mixHash(h, valHash(g.groupVecs[gi][i]))
+				h = types.MixHash(h, g.groupVecs[gi][i].Hash())
 			}
 		}
 		var grp *aggGroup

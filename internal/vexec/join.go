@@ -15,7 +15,7 @@ import (
 // representation: each key stays typed (segment payload arrays) when the
 // expression supports it and falls back to the boxed vector otherwise.
 // Hashing and equality read through both forms consistently (typedHashAt
-// reproduces valHash's byte stream).
+// reproduces types.Value.Hash's byte stream).
 type keyCols struct {
 	vecs  []Vector
 	typed []*TypedVec
@@ -57,20 +57,20 @@ func (kc *keyCols) eval(keys []VExpr, e *env, b *Batch, sel []int) error {
 // hashAt combines the key hashes of physical row i; null reports a NULL in
 // any key column (NULL keys never join, matching the row operator).
 func (kc *keyCols) hashAt(i int) (h uint64, null bool) {
-	h = fnvOffset
+	h = types.HashOffset
 	for k := range kc.vecs {
 		if tv := kc.typed[k]; tv != nil {
 			if tv.IsNull(i) {
 				return 0, true
 			}
-			h = mixHash(h, typedHashAt(tv, i))
+			h = types.MixHash(h, typedHashAt(tv, i))
 			continue
 		}
 		v := kc.vecs[k][i]
 		if v.IsNull() {
 			return 0, true
 		}
-		h = mixHash(h, valHash(v))
+		h = types.MixHash(h, v.Hash())
 	}
 	return h, false
 }
@@ -260,7 +260,7 @@ func (j *BatchHashJoin) parallelBuild(ctx *exec.Ctx, params types.Row, scan *Sca
 	if err != nil {
 		return false, err
 	}
-	morsels, total, scanned, pruned := tableMorsels(td, scan.Boxed, ResolveBounds(scan.Prune, params))
+	morsels, total, scanned, pruned := tableMorsels(td, ResolveBounds(scan.Prune, params))
 	minRows := j.MinRows
 	if minRows <= 0 {
 		minRows = DefaultParallelMinRows
@@ -385,11 +385,7 @@ func (j *BatchHashJoin) buildMorsel(e *env, kc *keyCols, batch *Batch, selBuf *[
 		}
 		return ents, nil
 	}
-	if m.bview != nil {
-		batch.fromView(*m.bview)
-	} else {
-		batch.fromTypedView(m.view)
-	}
+	batch.fromTypedView(m.view)
 	return ents, hash()
 }
 

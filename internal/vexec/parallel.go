@@ -23,51 +23,32 @@ const DefaultParallelMinRows = 16384
 // tables use one segment per morsel).
 const rowMorselRows = 2 * colstore.SegRows
 
-// morsel is one unit of parallel scan work: a typed colstore segment view,
-// a boxed segment view (baseline mode), or a slice of a row snapshot.
+// morsel is one unit of parallel scan work: a typed colstore segment view
+// or a slice of a row snapshot.
 type morsel struct {
-	view  *colstore.TypedView
-	bview *colstore.View
-	rows  []types.Row
+	view *colstore.TypedView
+	rows []types.Row
 }
 
 func (m morsel) liveRows() int {
-	switch {
-	case m.rows != nil:
+	if m.rows != nil {
 		return len(m.rows)
-	case m.bview != nil:
-		return m.bview.Rows()
-	default:
-		return m.view.Rows()
 	}
+	return m.view.Rows()
 }
 
-// tableMorsels splits a stored table into parallel scan units — one
-// colstore segment per morsel (typed by default, boxed for the
-// measurement baseline), or fixed-size row ranges for row-major tables —
-// and reports the total live row count plus the number of column-store
-// segments actually read and the number the zone-map bounds pruned.
+// tableMorsels splits a stored table into parallel scan units — one typed
+// colstore segment view per morsel, or fixed-size row ranges for row-major
+// tables — and reports the total live row count plus the number of
+// column-store segments actually read and the number the zone-map bounds
+// pruned.
 // Shared by ParallelAggScan and the morsel-parallel hash-join build.
-func tableMorsels(td *storage.TableData, boxed bool, bounds []colstore.ColBound) (morsels []morsel, total, scanned, pruned int) {
-	colMode := false
-	if boxed {
-		if views, ok := td.ColumnViews(); ok {
-			colMode = true
-			scanned = len(views)
-			for i := range views {
-				if views[i].Rows() > 0 {
-					morsels = append(morsels, morsel{bview: &views[i]})
-				}
-			}
-		}
-	} else if views, p, ok := td.TypedColumnViews(bounds); ok {
-		colMode = true
-		scanned = len(views)
-		pruned = p
-		for i := range views {
-			if views[i].Rows() > 0 {
-				morsels = append(morsels, morsel{view: &views[i]})
-			}
+func tableMorsels(td *storage.TableData, bounds []colstore.ColBound) (morsels []morsel, total, scanned, pruned int) {
+	views, pruned, colMode := td.TypedColumnViews(bounds)
+	scanned = len(views)
+	for i := range views {
+		if views[i].Rows() > 0 {
+			morsels = append(morsels, morsel{view: &views[i]})
 		}
 	}
 	if !colMode {
@@ -113,7 +94,6 @@ type ParallelAggScan struct {
 	Width   int           // scanned table width (Pred/Groups/Aggs slot space)
 	Workers int           // worker pool bound; 0 = GOMAXPROCS
 	MinRows int64         // sequential below this; 0 = DefaultParallelMinRows
-	Boxed   bool          // boxed segment views (measurement baseline)
 	Prune   []PruneTerm   // zone-map pruning conjuncts over the fused Pred
 
 	out []types.Row
@@ -136,7 +116,7 @@ func (p *ParallelAggScan) Open(ctx *exec.Ctx, params types.Row) error {
 	if err != nil {
 		return err
 	}
-	morsels, total, scanned, pruned := tableMorsels(td, p.Boxed, ResolveBounds(p.Prune, params))
+	morsels, total, scanned, pruned := tableMorsels(td, ResolveBounds(p.Prune, params))
 	add(&ctx.Counters.SegmentsScanned, int64(scanned))
 	add(&ctx.Counters.SegmentsPruned, int64(pruned))
 	add(&ctx.Counters.RowsScanned, int64(total))
@@ -268,11 +248,7 @@ func (w *aggWorker) foldMorsel(mi int, m morsel) error {
 		}
 		return nil
 	}
-	if m.bview != nil {
-		w.batch.fromView(*m.bview)
-	} else {
-		w.batch.fromTypedView(m.view)
-	}
+	w.batch.fromTypedView(m.view)
 	return w.foldBatch()
 }
 
@@ -301,7 +277,7 @@ func mergeGroupTables(tables []*groupTable, groupExprs []VExpr, specs []AggSpec)
 			continue
 		}
 		for _, g := range t.order {
-			h := rowHash(g.key)
+			h := g.key.HashAll()
 			var dst *aggGroup
 		probe:
 			for _, cand := range merged.groups[h] {
@@ -385,9 +361,6 @@ func (p *ParallelAggScan) Explain(indent int) string {
 	if len(p.Prune) > 0 {
 		f += " zonemap=(" + PruneTermsString(p.Prune) + ")"
 	}
-	if p.Boxed {
-		f += " boxed"
-	}
 	w := "GOMAXPROCS"
 	if p.Workers > 0 {
 		w = fmt.Sprintf("%d", p.Workers)
@@ -398,7 +371,7 @@ func (p *ParallelAggScan) Explain(indent int) string {
 
 // Clone implements BatchPlan.
 func (p *ParallelAggScan) Clone(func(exec.Plan) exec.Plan) BatchPlan {
-	return &ParallelAggScan{Table: p.Table, Pred: p.Pred, Groups: p.Groups, Aggs: p.Aggs, Cols: p.Cols, Width: p.Width, Workers: p.Workers, MinRows: p.MinRows, Boxed: p.Boxed, Prune: p.Prune}
+	return &ParallelAggScan{Table: p.Table, Pred: p.Pred, Groups: p.Groups, Aggs: p.Aggs, Cols: p.Cols, Width: p.Width, Workers: p.Workers, MinRows: p.MinRows, Prune: p.Prune}
 }
 
 // andSeq conjoins two optional predicates with filter-chain semantics: the
@@ -649,5 +622,5 @@ walk:
 		}
 		aggs[i] = spec
 	}
-	return &ParallelAggScan{Table: scan.Table, Pred: pred, Groups: groups, Aggs: aggs, Cols: a.Cols, Width: len(scan.Cols), Workers: workers, MinRows: minRows, Boxed: scan.Boxed}, true
+	return &ParallelAggScan{Table: scan.Table, Pred: pred, Groups: groups, Aggs: aggs, Cols: a.Cols, Width: len(scan.Cols), Workers: workers, MinRows: minRows}, true
 }

@@ -384,14 +384,14 @@ func (s *BatchSort) Clone(cloneRow func(exec.Plan) exec.Plan) BatchPlan {
 }
 
 // batchRowHash combines the column hashes of physical row i without boxing
-// typed columns; consistent with rowHash over the boxed row.
+// typed columns; consistent with types.Row.HashAll over the boxed row.
 func batchRowHash(b *Batch, i int) uint64 {
-	h := uint64(fnvOffset)
+	h := types.HashOffset
 	for c := range b.Cols {
 		if b.Cols[c] == nil {
-			h = mixHash(h, typedHashAt(b.Typed[c], i))
+			h = types.MixHash(h, typedHashAt(b.Typed[c], i))
 		} else {
-			h = mixHash(h, valHash(b.Cols[c][i]))
+			h = types.MixHash(h, b.Cols[c][i].Hash())
 		}
 	}
 	return h

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"xnf/internal/colstore"
+	"xnf/internal/enc"
 	"xnf/internal/types"
 )
 
@@ -184,6 +185,10 @@ func cmpDictScalar(opc int, l *TypedVec, kv string, sel []int, out []types.TriBo
 	pos, found := d.Find(kv)
 	p := uint64(pos)
 	nulls := l.Nulls
+	if n := len(sel); nulls == nil && n > 0 && n == d.Len() && sel[n-1] == n-1 &&
+		cmpDictDense(opc, &d.Codes, p, found, out) {
+		return
+	}
 	for _, i := range sel {
 		if nulls != nil && nulls.Get(i) {
 			out[i] = types.Unknown
@@ -201,6 +206,46 @@ func cmpDictScalar(opc int, l *TypedVec, kv string, sel []int, out []types.TriBo
 		}
 		out[i] = types.Tri(cmpHolds(opc, c))
 	}
+}
+
+// cmpDictDense is cmpDictScalar over every slot of a NULL-free segment,
+// the hot loop of a string-equality scan: it shifts the codes out of each
+// packed word in turn instead of locating every code on its own, and looks
+// the outcome up by the code's side of the constant's position (below, at,
+// above). false, with out untouched, when the code width does not divide
+// 64 — codes then straddle words and the per-slot loop decodes them.
+func cmpDictDense(opc int, codes *enc.BitVec, p uint64, found bool, out []types.TriBool) bool {
+	w := uint(codes.W)
+	if w == 0 || 64%w != 0 {
+		return false
+	}
+	atPos := 1 // an absent constant sorts before the code at its position
+	if found {
+		atPos = 0
+	}
+	res := [3]types.TriBool{
+		types.Tri(cmpHolds(opc, -1)),
+		types.Tri(cmpHolds(opc, atPos)),
+		types.Tri(cmpHolds(opc, 1)),
+	}
+	per := int(64 / w)
+	mask := uint64(1)<<w - 1
+	n := codes.N
+	for wi, word := range codes.Words {
+		for i := wi * per; i < min((wi+1)*per, n); i++ {
+			code := word & mask
+			word >>= w
+			k := 0
+			if code >= p {
+				k++
+			}
+			if code > p {
+				k++
+			}
+			out[i] = res[k]
+		}
+	}
+	return true
 }
 
 // cmpPackScalar compares a bit-packed INTEGER/BOOLEAN column against a

@@ -261,10 +261,11 @@ func TestBatchToRowBridgeAndClone(t *testing.T) {
 	}
 }
 
-// TestValHashAgreesWithEqual guards the allocation-free valHash against
-// drifting from the value equality the agg hash table probes with: values
-// that compare Equal must hash identically (notably integral floats vs
-// ints, the cross-type group-key case).
+// TestValHashAgreesWithEqual guards types.Value.Hash, which the batch
+// engine's group and join tables use, against drifting from the value
+// equality the agg hash table probes with: values that compare Equal must
+// hash identically (notably integral floats vs ints, the cross-type
+// group-key case).
 func TestValHashAgreesWithEqual(t *testing.T) {
 	vals := []types.Value{
 		types.Null,
@@ -278,8 +279,8 @@ func TestValHashAgreesWithEqual(t *testing.T) {
 			if a.IsNull() != b.IsNull() {
 				continue // Equal treats NULL==NULL; cross-null never groups
 			}
-			if types.Equal(a, b) && valHash(a) != valHash(b) {
-				t.Errorf("Equal(%v, %v) but valHash differs: %x vs %x", a, b, valHash(a), valHash(b))
+			if types.Equal(a, b) && a.Hash() != b.Hash() {
+				t.Errorf("Equal(%v, %v) but Hash differs: %x vs %x", a, b, a.Hash(), b.Hash())
 			}
 		}
 	}

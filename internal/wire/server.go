@@ -16,7 +16,6 @@ import (
 
 	"xnf/internal/core"
 	"xnf/internal/engine"
-	"xnf/internal/opt"
 	"xnf/internal/resource"
 	"xnf/internal/types"
 )
@@ -84,8 +83,6 @@ func (m OutputMeta) ToOutput() core.Output {
 // connection; the engine's storage layer is already concurrency-safe.
 type Server struct {
 	DB *engine.Database
-	// Opts control the extraction plans (benchmarks flip them).
-	Opts opt.Options
 
 	// MaxCursorsPerSession bounds each session's open-cursor table
 	// (0 = DefaultMaxCursors). A client that opens cursors without closing
@@ -132,7 +129,7 @@ const DefaultCursorBlockRows = 1024
 
 // NewServer wraps a database.
 func NewServer(db *engine.Database) *Server {
-	s := &Server{DB: db, Opts: opt.DefaultOptions()}
+	s := &Server{DB: db}
 	s.stats() // register the wire metric families up front, so scrapes see them before the first connection
 	return s
 }
@@ -515,13 +512,13 @@ func (s *Server) handleStats(w *srvWriter) error {
 // tuple stream for subsequent FETCHes. The common configuration streams:
 // per-output plans are cloned from the engine's template cache and drained
 // lazily as FETCH demand arrives, so the server never materializes the CO —
-// its memory per extraction is one fetch chunk. Recursive views (fixpoint
-// executor) and servers with overridden optimizer options fall back to the
+// its memory per extraction is one fetch chunk. Plans follow the database's
+// optimizer options. Recursive views (fixpoint executor) fall back to the
 // materializing path.
 func (s *Server) handleQueryCO(w *srvWriter, sess *session, view string) error {
 	sess.dropStream()
 	ctx, cancel := sess.stmtCtx()
-	stream, err := s.DB.StreamCOViewOpts(ctx, view, s.Opts)
+	stream, err := s.DB.StreamCOView(ctx, view)
 	if err == nil {
 		sess.stream = stream
 		sess.streamCancel = cancel
@@ -539,16 +536,7 @@ func (s *Server) handleQueryCO(w *srvWriter, sess *session, view string) error {
 	// Recursive views run the fixpoint executor, which has no streaming
 	// plans: materialize once, then serve FETCHes from the adapter so the
 	// exchange looks identical on the wire.
-	var res *core.COResult
-	if s.Opts == s.DB.OptOptions {
-		res, err = s.DB.ExtractCOView(view, false)
-	} else {
-		var compiled *core.Compiled
-		compiled, err = s.DB.CompileCOView(view)
-		if err == nil {
-			res, err = compiled.Execute(s.DB.Store(), s.Opts)
-		}
-	}
+	res, err := s.DB.ExtractCOView(view, false)
 	if err != nil {
 		return s.sendErr(w, err)
 	}

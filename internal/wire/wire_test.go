@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"xnf/internal/engine"
+	"xnf/internal/opt"
+	"xnf/internal/rewrite"
 	"xnf/internal/types"
 	"xnf/internal/workload"
 )
@@ -112,6 +114,50 @@ func TestQueryCOOverTCP(t *testing.T) {
 	}
 	if client.Stats.RoundTrips > 3 {
 		t.Errorf("whole-CO shipping took %d round trips, want <= 3", client.Stats.RoundTrips)
+	}
+}
+
+// TestQueryCOFollowsDBOptions checks that CO extraction over the wire runs
+// under the database's optimizer options: a database switched to the naive
+// strategy compiles its plan templates once and serves later QueryCOs from
+// the cache, with the same CO as the default options produce.
+func TestQueryCOFollowsDBOptions(t *testing.T) {
+	count := func(addr string) int {
+		client, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		cache, err := client.QueryCO("deps_ARC", ShipWhole())
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, comp := range cache.Components() {
+			total += comp.Len()
+		}
+		for _, rel := range cache.Relationships() {
+			total += rel.Connections()
+		}
+		return total
+	}
+	_, defAddr := testServer(t)
+	want := count(defAddr)
+
+	srv, addr := testServer(t, func(s *Server) {
+		s.DB.OptOptions = opt.NaiveOptions()
+		s.DB.RewriteOptions = rewrite.NoRewrite()
+	})
+	for i := 0; i < 3; i++ {
+		if got := count(addr); got != want {
+			t.Fatalf("naive extraction %d: %d tuples+connections, default %d", i, got, want)
+		}
+	}
+	if n := srv.DB.Metrics.COPlanCompiles.Load(); n != 1 {
+		t.Errorf("compiled %d plan-template sets for 3 QueryCOs, want 1", n)
+	}
+	if n := srv.DB.Metrics.COPlanCacheHits.Load(); n != 2 {
+		t.Errorf("plan-template cache hits = %d, want 2", n)
 	}
 }
 

@@ -96,7 +96,6 @@ func runJoinBench(b *testing.B, db *engine.Database) {
 // joinBenchConfig sets one measured configuration.
 func joinBenchConfig(db *engine.Database, vectorize, parallel bool) {
 	db.OptOptions.Vectorize = vectorize
-	db.OptOptions.TypedKernels = vectorize
 	db.OptOptions.ParallelScan = parallel
 	db.OptOptions.ParallelWorkers = 0 // pool default
 }
