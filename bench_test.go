@@ -16,7 +16,6 @@ import (
 
 	"xnf/internal/bench"
 	"xnf/internal/engine"
-	"xnf/internal/exec"
 	"xnf/internal/opt"
 	"xnf/internal/rewrite"
 	"xnf/internal/wire"
@@ -320,20 +319,23 @@ func BenchmarkAblationParallelExtraction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := compiled.Execute(db.Store(), opt.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
+	plans, err := compiled.PlanTemplates(db.Store(), opt.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, parallel := range []bool{false, true} {
+		name := "serial"
+		if parallel {
+			name = "parallel"
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := compiled.ExecuteParallel(db.Store(), opt.DefaultOptions()); err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := compiled.ExecuteTemplates(db.Store(), plans, parallel); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkCacheBuild measures workspace construction (swizzling) alone.
@@ -357,5 +359,3 @@ func BenchmarkCacheBuild(b *testing.B) {
 		}
 	}
 }
-
-var _ = exec.Counters{}

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,6 +10,7 @@ import (
 
 	"xnf/internal/ast"
 	"xnf/internal/engine"
+	"xnf/internal/exec"
 	"xnf/internal/opt"
 	"xnf/internal/parser"
 	"xnf/internal/rewrite"
@@ -340,8 +340,12 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans, err := c.PlanTemplates(db.Store(), opt.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 5; round++ {
-		par, err := c.ExecuteParallel(db.Store(), opt.DefaultOptions())
+		par, err := c.Open(exec.NewCtx(db.Store()), plans, nil).DrainParallel()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,40 +454,56 @@ func TestXNFViewErrors(t *testing.T) {
 	}
 }
 
-// Streaming through engine.StreamCOView yields every tuple of the
+// Pulling a CO stream tuple by tuple yields every tuple of the
 // heterogeneous stream of Sect. 3 tagged with its component, in exactly the
-// per-component counts the materializing extraction produces.
+// per-component counts the materializing extraction produces — for a DAG
+// CO and for a recursive one, whose fixpoint runs behind the same stream.
 func TestStream(t *testing.T) {
-	db := fig1DB(t)
-	stream, err := db.StreamCOView(context.Background(), "deps_ARC")
+	parts, err := workload.NewPartsDB(workload.PartsParams{Parts: 60, Roots: 3, FanOut: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
-	byComp := make(map[int]int)
-	for {
-		compID, row, err := stream.Next()
+	for _, tc := range []struct {
+		db   *engine.Database
+		view string
+	}{{fig1DB(t), "deps_ARC"}, {parts, "parts_explosion"}} {
+		c, err := tc.db.CompileCOView(tc.view)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row == nil {
-			break
+		plans, err := c.PlanTemplates(tc.db.Store(), tc.db.OptOptions)
+		if err != nil {
+			t.Fatal(err)
 		}
-		byComp[compID]++
-	}
-	res, err := db.ExtractCOView("deps_ARC", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, rows := range res.Rows {
-		total += len(rows)
-		if byComp[res.Outputs[i].CompID] != len(rows) {
-			t.Errorf("component %s streamed %d rows, materialized %d",
-				res.Outputs[i].Name, byComp[res.Outputs[i].CompID], len(rows))
+		stream := c.Open(exec.NewCtx(tc.db.Store()), plans, nil)
+		byComp := make(map[int]int)
+		for {
+			compID, row, err := stream.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				break
+			}
+			byComp[compID]++
 		}
-	}
-	if total == 0 {
-		t.Fatal("deps_ARC extracted no tuples")
+		if err := stream.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := tc.db.ExtractCOView(tc.view, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for i, rows := range res.Rows {
+			total += len(rows)
+			if byComp[res.Outputs[i].CompID] != len(rows) {
+				t.Errorf("%s: component %s streamed %d rows, materialized %d", tc.view,
+					res.Outputs[i].Name, byComp[res.Outputs[i].CompID], len(rows))
+			}
+		}
+		if total == 0 {
+			t.Fatalf("%s extracted no tuples", tc.view)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"xnf/internal/opt"
 	"xnf/internal/qgm"
 	"xnf/internal/semantics"
-	"xnf/internal/storage"
 	"xnf/internal/types"
 )
 
@@ -18,7 +17,6 @@ import (
 // breadth-first fixpoint from the root tuples along the connections.
 type RecursiveQuery struct {
 	Outputs []Output
-	g       *qgm.Graph
 	nodes   []recNode
 	rels    []recRel
 }
@@ -50,7 +48,7 @@ func buildRecursive(g *qgm.Graph, xnfBox *qgm.Box, takes []semantics.TakeSpec) (
 			return nil, fmt.Errorf("core: TAKE column projection is not supported on recursive COs")
 		}
 	}
-	rq := &RecursiveQuery{g: g}
+	rq := &RecursiveQuery{}
 	isChild := make(map[string]bool)
 	for _, o := range xnfBox.XNFOutputs {
 		if o.IsRel {
@@ -144,20 +142,32 @@ func seq(from, n int) []int {
 	return out
 }
 
-// execute runs the fixpoint: materialize local components and connections,
-// seed the roots, propagate reachability along connections, then filter.
-func (rq *RecursiveQuery) execute(store *storage.Store, opts opt.Options) (*COResult, error) {
-	comp := opt.NewCompiler(store, rq.g, opts)
-	ctx := exec.NewCtx(store)
-
-	materialize := func(box *qgm.Box) ([]types.Row, error) {
+// templates compiles the fixpoint's inputs: every local component, then
+// every local connection, in definition order.
+func (rq *RecursiveQuery) templates(comp *opt.Compiler) ([]exec.Plan, error) {
+	var boxes []*qgm.Box
+	for _, n := range rq.nodes {
+		boxes = append(boxes, n.box)
+	}
+	for _, rr := range rq.rels {
+		boxes = append(boxes, rr.box)
+	}
+	plans := make([]exec.Plan, len(boxes))
+	for i, box := range boxes {
 		plan, _, err := comp.CompileBox(box, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: compiling recursive CO input %s: %w", box.Name, err)
 		}
-		return exec.Collect(ctx, plan)
+		plans[i] = plan
 	}
+	return plans, nil
+}
 
+// execute runs the fixpoint over private clones of templates' plans:
+// materialize local components and connections, seed the roots, propagate
+// reachability along connections, then filter. It returns the reachable
+// rows of each output.
+func (rq *RecursiveQuery) execute(ctx *exec.Ctx, plans []exec.Plan) ([][]types.Row, error) {
 	type nodeState struct {
 		rec   *recNode
 		rows  []types.Row
@@ -167,7 +177,7 @@ func (rq *RecursiveQuery) execute(store *storage.Store, opts opt.Options) (*CORe
 	nodes := make(map[string]*nodeState)
 	for i := range rq.nodes {
 		n := &rq.nodes[i]
-		rows, err := materialize(n.box)
+		rows, err := exec.Collect(ctx, plans[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: recursive component %s: %w", n.name, err)
 		}
@@ -186,7 +196,7 @@ func (rq *RecursiveQuery) execute(store *storage.Store, opts opt.Options) (*CORe
 	conns := make([]*connSet, len(rq.rels))
 	for i := range rq.rels {
 		rr := &rq.rels[i]
-		rows, err := materialize(rr.box)
+		rows, err := exec.Collect(ctx, plans[len(rq.nodes)+i])
 		if err != nil {
 			return nil, fmt.Errorf("core: recursive relationship %s: %w", rr.name, err)
 		}
@@ -241,13 +251,13 @@ func (rq *RecursiveQuery) execute(store *storage.Store, opts opt.Options) (*CORe
 		}
 	}
 
-	res := &COResult{Outputs: rq.Outputs, Rows: make([][]types.Row, len(rq.Outputs))}
+	reached := make([][]types.Row, len(rq.Outputs))
 	for i, out := range rq.Outputs {
 		if !out.IsRel {
 			st := nodes[up(out.Name)]
 			for _, r := range st.rows {
 				if st.reach[r.Key(st.rec.keyCols)] {
-					res.Rows[i] = append(res.Rows[i], r)
+					reached[i] = append(reached[i], r)
 				}
 			}
 			continue
@@ -259,11 +269,10 @@ func (rq *RecursiveQuery) execute(store *storage.Store, opts opt.Options) (*CORe
 			pState := nodes[up(cs.rec.parent)]
 			for _, r := range cs.rows {
 				if pState.reach[r.Key(cs.rec.parentKey)] {
-					res.Rows[i] = append(res.Rows[i], r)
+					reached[i] = append(reached[i], r)
 				}
 			}
 		}
 	}
-	res.Counters = ctx.Counters
-	return res, nil
+	return reached, nil
 }

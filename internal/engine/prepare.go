@@ -591,38 +591,61 @@ func (db *Database) CacheStats() []CacheEntryStats { return db.plans.stats() }
 
 // --- compiled CO view cache ---
 
-// coEntry is one cached CO view compilation, together with the lazily
-// compiled per-output physical plan templates (the CO analog of the SQL
-// plan cache: Execute used to re-run opt per call; now it clones the
-// cached templates via exec.ClonePlan).
+// coEntry is one cached CO view: its compilation and the plan templates
+// compiled from it (the CO analog of the SQL plan cache), valid for one
+// catalog version and one setting of the rewrite and optimizer options.
+// Entries are never mutated once cached.
 type coEntry struct {
 	compiled *core.Compiled
+	plans    []exec.Plan
 	version  uint64
 	rwOpts   rewrite.Options
-
-	plans    []exec.Plan
 	planOpts opt.Options
 }
 
-// CompileCOView returns the compiled form of a stored CO view, reusing the
-// cached compilation while the catalog version is unchanged. core.Compiled
-// is read-only after compilation (Execute builds fresh plans per run), so
-// one compilation serves concurrent QueryCO/ExtractCOParallel callers.
+// CompileCOView returns the compiled form of a stored CO view from the CO
+// cache. core.Compiled is read-only after compilation, so one compilation
+// serves every concurrent extraction.
 func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
-	key := strings.ToUpper(name)
-	ver := db.cat.Version()
-	db.coMu.Lock()
-	if e, ok := db.coViews[key]; ok && e.version == ver && e.rwOpts == db.RewriteOptions {
-		db.coMu.Unlock()
-		db.Metrics.COCacheHits.Add(1)
-		return e.compiled, nil
-	}
-	db.coMu.Unlock()
-	db.Metrics.COCompiles.Add(1)
-	compiled, err := core.CompileView(db.cat, name, db.RewriteOptions)
+	e, err := db.coView(name)
 	if err != nil {
 		return nil, err
 	}
+	return e.compiled, nil
+}
+
+// coView returns the cached entry of a stored CO view, compiling what the
+// current catalog version and options lack: a hit costs one lock round; a
+// change of optimizer options alone recompiles only the plan templates.
+func (db *Database) coView(name string) (*coEntry, error) {
+	key := strings.ToUpper(name)
+	// One snapshot serves the cache check, the compile and the store, so
+	// nothing is filed under a version or options it was not compiled with.
+	fresh := &coEntry{version: db.cat.Version(), rwOpts: db.RewriteOptions, planOpts: db.OptOptions}
+	db.coMu.Lock()
+	e := db.coViews[key]
+	db.coMu.Unlock()
+	if e != nil && e.version == fresh.version && e.rwOpts == fresh.rwOpts {
+		db.Metrics.COCacheHits.Add(1)
+		if e.planOpts == fresh.planOpts {
+			db.Metrics.COPlanCacheHits.Add(1)
+			return e, nil
+		}
+		fresh.compiled = e.compiled
+	} else {
+		db.Metrics.COCompiles.Add(1)
+		compiled, err := core.CompileView(db.cat, name, fresh.rwOpts)
+		if err != nil {
+			return nil, err
+		}
+		fresh.compiled = compiled
+	}
+	db.Metrics.COPlanCompiles.Add(1)
+	plans, err := fresh.compiled.PlanTemplates(db.store, fresh.planOpts)
+	if err != nil {
+		return nil, err
+	}
+	fresh.plans = plans
 	db.coMu.Lock()
 	// Dropped or superseded views leave stale entries behind; sweep them
 	// on insert so create/query/drop churn cannot grow the map unboundedly.
@@ -630,65 +653,14 @@ func (db *Database) CompileCOView(name string) (*core.Compiled, error) {
 	// lock: entries fresher than this compilation must survive, and a
 	// compilation overtaken by DDL mid-flight is not admitted at all.
 	cur := db.cat.Version()
-	for k, e := range db.coViews {
-		if e.version != cur {
+	for k, old := range db.coViews {
+		if old.version != cur {
 			delete(db.coViews, k)
 		}
 	}
-	if ver == cur {
-		db.coViews[key] = &coEntry{compiled: compiled, version: ver, rwOpts: db.RewriteOptions}
+	if fresh.version == cur {
+		db.coViews[key] = fresh
 	}
 	db.coMu.Unlock()
-	return compiled, nil
-}
-
-// ExtractCOView extracts a stored CO view through cached per-output plan
-// templates: the first extraction per catalog version (and optimizer
-// options) runs opt once per output, later ones clone the templates and go
-// straight to execution — completing the compile-once story for the CO
-// path (QueryCO, ExtractCOParallel and the wire server all route here).
-// Recursive COs run the fixpoint executor, which has no reusable plans.
-func (db *Database) ExtractCOView(name string, parallel bool) (*core.COResult, error) {
-	compiled, err := db.CompileCOView(name)
-	if err != nil {
-		return nil, err
-	}
-	if compiled.Recursive {
-		return compiled.Execute(db.store, db.OptOptions)
-	}
-	plans, err := db.coPlanTemplates(name, compiled)
-	if err != nil {
-		return nil, err
-	}
-	return compiled.ExecuteTemplates(db.store, plans, parallel)
-}
-
-// coPlanTemplates returns the cached plan templates for a compiled CO
-// view, compiling them on first use. compiled must be the entry's own
-// compilation (identity-checked), so templates never mix catalog versions.
-func (db *Database) coPlanTemplates(name string, compiled *core.Compiled) ([]exec.Plan, error) {
-	key := strings.ToUpper(name)
-	// One snapshot serves the cache check, the compile and the store, so
-	// plans are never filed under options they were not compiled with.
-	opts := db.OptOptions
-	db.coMu.Lock()
-	if e, ok := db.coViews[key]; ok && e.compiled == compiled && e.plans != nil && e.planOpts == opts {
-		plans := e.plans
-		db.coMu.Unlock()
-		db.Metrics.COPlanCacheHits.Add(1)
-		return plans, nil
-	}
-	db.coMu.Unlock()
-	db.Metrics.COPlanCompiles.Add(1)
-	plans, err := compiled.PlanTemplates(db.store, opts)
-	if err != nil {
-		return nil, err
-	}
-	db.coMu.Lock()
-	if e, ok := db.coViews[key]; ok && e.compiled == compiled {
-		e.plans = plans
-		e.planOpts = opts
-	}
-	db.coMu.Unlock()
-	return plans, nil
+	return fresh, nil
 }

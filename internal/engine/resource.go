@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 
+	"xnf/internal/exec"
 	"xnf/internal/resource"
 )
 
@@ -20,12 +21,31 @@ func WithMem(ctx context.Context, mem *resource.Accountant) context.Context {
 	return context.WithValue(ctx, memKey{}, mem)
 }
 
-func memFromContext(ctx context.Context) *resource.Accountant {
-	if ctx == nil {
-		return nil
+// statementContext arms the default statement timeout on ctx unless ctx
+// already carries a deadline, so a per-session SET override (which arrives
+// as a context deadline) fully replaces it. cancel is nil when no timeout
+// was armed.
+func (db *Database) statementContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if d := db.Options.StatementTimeout; d > 0 {
+		if _, has := ctx.Deadline(); !has {
+			return context.WithTimeout(ctx, d)
+		}
 	}
-	mem, _ := ctx.Value(memKey{}).(*resource.Accountant)
-	return mem
+	return ctx, nil
+}
+
+// execCtx builds the governed execution context of one statement: its
+// reservations charge a child of ctx's session accountant (WithMem), or of
+// the process accountant, and ctx's end interrupts it.
+func (db *Database) execCtx(ctx context.Context, name string) *exec.Ctx {
+	parent, _ := ctx.Value(memKey{}).(*resource.Accountant)
+	if parent == nil {
+		parent = db.mem
+	}
+	ectx := exec.NewCtx(db.store)
+	ectx.Mem = parent.Child(name, 0)
+	ectx.Interrupt = ctx.Err
+	return ectx
 }
 
 // MemRoot returns the process-level memory accountant. The wire server

@@ -184,25 +184,9 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...types.Value) (*Rows
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Default statement timeout: applied only when the caller's context
-	// has no deadline of its own, so a per-session SET override (which
-	// arrives as a context deadline) fully replaces it.
-	var cancel context.CancelFunc
-	if d := s.db.Options.StatementTimeout; d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			ctx, cancel = context.WithTimeout(ctx, d)
-		}
-	}
-	// The statement's reservations charge a session accountant when the
-	// context carries one, the process accountant otherwise.
-	parent := memFromContext(ctx)
-	if parent == nil {
-		parent = s.db.mem
-	}
+	ctx, cancel := s.db.statementContext(ctx)
 	plan := exec.ClonePlan(s.plan)
-	ectx := exec.NewCtx(s.db.store)
-	ectx.Mem = parent.Child("statement", 0)
-	ectx.Interrupt = ctx.Err
+	ectx := s.db.execCtx(ctx, "statement")
 	r := &Rows{
 		cols: s.cols, plan: plan, ectx: ectx, cctx: ctx, cancel: cancel, open: true,
 		db: s.db, sql: s.text, start: start,

@@ -173,11 +173,9 @@ func (s *Server) Close() error {
 // shared plan cache, so the same SQL prepared on many connections is
 // compiled once.
 type session struct {
-	// stream is the CO extraction FETCH frames drain: usually a lazily
-	// driven engine.COStream, or a materialized adapter for the rare
-	// shapes that cannot stream (recursive views). streamServed counts
-	// its shipped tuples.
-	stream       coStream
+	// stream is the CO extraction FETCH frames drain, pulled lazily;
+	// streamServed counts its shipped tuples.
+	stream       *core.COStream
 	streamCancel context.CancelFunc
 	streamServed int64
 
@@ -240,33 +238,6 @@ func (sess *session) teardown() {
 	sess.stmts = nil
 	sess.mem.Close()
 }
-
-// coStream is what a session drains on FETCH: the engine's lazy COStream
-// or the materialized fallback, behind one pull contract ((0, nil, nil)
-// ends the stream; Close is idempotent).
-type coStream interface {
-	Next() (int, types.Row, error)
-	Close() error
-}
-
-// materialStream adapts an already-materialized CO extraction (recursive
-// views run the fixpoint executor, which has no streaming plans) to the
-// coStream contract, so handleFetch has exactly one serving path.
-type materialStream struct {
-	rows []TaggedRow
-	pos  int
-}
-
-func (m *materialStream) Next() (int, types.Row, error) {
-	if m.pos >= len(m.rows) {
-		return 0, nil, nil
-	}
-	r := m.rows[m.pos]
-	m.pos++
-	return r.CompID, r.Row, nil
-}
-
-func (m *materialStream) Close() error { m.rows = nil; return nil }
 
 // dropStream releases the session's pending CO stream, if any.
 func (sess *session) dropStream() {
@@ -509,52 +480,26 @@ func (s *Server) handleStats(w *srvWriter) error {
 }
 
 // handleQueryCO compiles a CO view, sends the schema frame and arranges the
-// tuple stream for subsequent FETCHes. The common configuration streams:
-// per-output plans are cloned from the engine's template cache and drained
-// lazily as FETCH demand arrives, so the server never materializes the CO —
-// its memory per extraction is one fetch chunk. Plans follow the database's
-// optimizer options. Recursive views (fixpoint executor) fall back to the
-// materializing path.
+// tuple stream for subsequent FETCHes: per-output plans are cloned from the
+// engine's template cache and drained lazily as FETCH demand arrives, so
+// the server never materializes the CO — its memory per extraction is one
+// fetch chunk (a recursive view holds its fixpoint's rows). Plans follow
+// the database's optimizer options.
 func (s *Server) handleQueryCO(w *srvWriter, sess *session, view string) error {
 	sess.dropStream()
 	ctx, cancel := sess.stmtCtx()
 	stream, err := s.DB.StreamCOView(ctx, view)
-	if err == nil {
-		sess.stream = stream
-		sess.streamCancel = cancel
-		outs := stream.Outputs()
-		metas := make([]OutputMeta, len(outs))
-		for i, out := range outs {
-			metas[i] = MetaFromOutput(out, stream.HasRows(i))
-		}
-		return s.sendSchema(w, sess, metas)
-	}
-	cancel()
-	if !errors.Is(err, engine.ErrCORecursive) {
-		return s.sendErr(w, err)
-	}
-	// Recursive views run the fixpoint executor, which has no streaming
-	// plans: materialize once, then serve FETCHes from the adapter so the
-	// exchange looks identical on the wire.
-	res, err := s.DB.ExtractCOView(view, false)
 	if err != nil {
+		cancel()
 		return s.sendErr(w, err)
 	}
-	mat := &materialStream{}
-	metas := make([]OutputMeta, len(res.Outputs))
-	for i, out := range res.Outputs {
-		metas[i] = MetaFromOutput(out, res.Rows[i] != nil)
-		for _, row := range res.Rows[i] {
-			mat.rows = append(mat.rows, TaggedRow{CompID: out.CompID, Row: row})
-		}
+	sess.stream = stream
+	sess.streamCancel = cancel
+	outs := stream.Outputs()
+	metas := make([]OutputMeta, len(outs))
+	for i, out := range outs {
+		metas[i] = MetaFromOutput(out, stream.HasRows(i))
 	}
-	sess.stream = mat
-	return s.sendSchema(w, sess, metas)
-}
-
-// sendSchema gob-encodes the output metadata and ships the schema frame;
-// on encoding failure the just-opened stream is released.
-func (s *Server) sendSchema(w *srvWriter, sess *session, metas []OutputMeta) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(metas); err != nil {
 		sess.dropStream()
@@ -566,9 +511,10 @@ func (s *Server) sendSchema(w *srvWriter, sess *session, metas []OutputMeta) err
 // handleFetch ships up to n tuples of the session's CO stream (n < 0 =
 // everything, chunked). Every response ends with FrameMore (stream
 // continues — issue another FETCH) or FrameDone (exhausted), so the
-// exchange is deterministic. Tuples are pulled from the stream lazily,
-// one chunk buffered at a time and reserved against the session's memory
-// budget.
+// exchange is deterministic. Tuples are pulled from the stream lazily, one
+// chunk buffered at a time. Each chunk's buffer is reserved against the
+// session budget before it is filled, so a budget breach surfaces as a
+// retryable error instead of unbounded buffering.
 func (s *Server) handleFetch(w *srvWriter, sess *session, n int) error {
 	const chunk = 1024
 	if sess.stream == nil {
@@ -576,14 +522,6 @@ func (s *Server) handleFetch(w *srvWriter, sess *session, n int) error {
 		// an immediate empty Done, same as the tail of a finished stream.
 		return w.writeFrame(FrameDone, binary.AppendVarint(nil, 0))
 	}
-	return s.fetchStream(w, sess, n, chunk)
-}
-
-// fetchStream serves one FETCH from the session's lazy CO stream: up to n
-// tuples (n < 0 = drain), pulled chunk by chunk. Each chunk's buffer is
-// reserved against the session budget before it is filled, so a budget
-// breach surfaces as a retryable error instead of unbounded buffering.
-func (s *Server) fetchStream(w *srvWriter, sess *session, n, chunk int) error {
 	buf := make([]TaggedRow, 0, chunk)
 	all := n < 0
 	for all || n > 0 {

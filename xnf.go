@@ -316,10 +316,7 @@ func (db *DB) extractCO(query string, parallel bool) (*COResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if parallel {
-		return compiled.ExecuteParallel(db.eng.Store(), db.eng.OptOptions)
-	}
-	return compiled.Execute(db.eng.Store(), db.eng.OptOptions)
+	return db.eng.ExtractCO(compiled, parallel)
 }
 
 // SaveChanges applies a cache's pending write-back operations to this

@@ -1,9 +1,11 @@
 package xnf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"xnf/internal/resource"
 	"xnf/internal/workload"
 )
 
@@ -172,5 +174,32 @@ func TestCOViewCompilationCached(t *testing.T) {
 	}
 	if m.COCompiles.Load() != 2 {
 		t.Errorf("parallel extraction recompiled: %d", m.COCompiles.Load())
+	}
+}
+
+// TestCOExtractionMemBudget: in-process CO extraction charges the
+// database's memory budget like every other statement — stored view or
+// inline query, serial or parallel drain — and returns every byte after
+// the typed failure.
+func TestCOExtractionMemBudget(t *testing.T) {
+	db := exampleDB(t)
+	inline := workload.DepsARC[strings.Index(workload.DepsARC, "OUT OF"):]
+	db.Engine().SetMemBudget(4 << 10)
+	for _, tc := range []struct {
+		name    string
+		extract func(string) (*COResult, error)
+		query   string
+	}{
+		{"stored", db.ExtractCO, "deps_ARC"},
+		{"stored parallel", db.ExtractCOParallel, "deps_ARC"},
+		{"inline", db.ExtractCO, inline},
+		{"inline parallel", db.ExtractCOParallel, inline},
+	} {
+		if _, err := tc.extract(tc.query); !errors.Is(err, resource.ErrResourceExhausted) {
+			t.Errorf("%s: extraction under a 4KB budget returned %v, want ErrResourceExhausted", tc.name, err)
+		}
+		if n := db.Engine().MemUsed(); n != 0 {
+			t.Errorf("%s: reserved bytes after the failed extraction = %d, want 0", tc.name, n)
+		}
 	}
 }
